@@ -422,6 +422,8 @@ def save(ds: Dataset, path: str | Path) -> None:
 def load(path: str | Path) -> Dataset:
     """Read a dataset back, verifying structure and content digest.
 
+    The sidecar manifest's digest must equal the file's content digest.
+
     Pixels and labels round-trip bit-exactly.  Per-image query costs are a
     generation-time diagnostic and come back as zero counters.
     """
@@ -439,11 +441,14 @@ def load(path: str | Path) -> Dataset:
     if len(raw) != expected:
         raise DatasetFormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
     record_stream = raw[18:-32]
-    if hashlib.sha256(record_stream).digest() != raw[-32:]:
+    file_digest = hashlib.sha256(record_stream).digest()
+    if file_digest != raw[-32:]:
         raise DigestMismatchError(f"{path}: content digest mismatch")
 
     manifest_path = path.with_suffix(path.suffix + ".manifest.json")
     manifest = DatasetManifest.from_dict(json.loads(manifest_path.read_text(encoding="utf-8")))
+    if manifest.digest != file_digest.hex():
+        raise DigestMismatchError(f"{manifest_path}: manifest digest does not match {path}")
 
     images: list[LandscapeImage] = []
     labels: list[int] = []

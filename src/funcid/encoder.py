@@ -20,7 +20,7 @@ training time (`finalize_pixels`).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,12 +164,14 @@ def construct_image(
         probe_values[idx] = evaluate(instance, probes[idx], counter)
 
     encoder = _ENCODERS[cfg.image_type]
-    pixels = encoder(samples, values, probe_values, cfg)
+    # Checked after the cast: a value beyond the float32 range is finite in
+    # float64 but becomes inf in the pixels.
+    pixels = encoder(samples, values, probe_values, cfg).astype(np.float32)
     if not np.all(np.isfinite(pixels)):
         raise EncoderError("landscape image contains non-finite pixels")
 
     return LandscapeImage(
-        pixels=pixels.astype(np.float32),
+        pixels=pixels,
         label=instance.problem.index,
         instance_seed=instance.instance_seed,
         image_type=cfg.image_type,
@@ -288,7 +290,3 @@ def write_png(path, pixels: np.ndarray) -> None:
     except ImportError as exc:  # pragma: no cover
         raise EncoderError("PNG export needs pillow; install funcid[png] or use write_pgm") from exc
     Image.fromarray(_to_gray_u8(pixels), mode="L").save(path)
-
-
-def with_sample_size(cfg: EncoderConfig, n: int) -> EncoderConfig:
-    return replace(cfg, sample_size=n)

@@ -78,9 +78,11 @@ class ExperimentPreset:
 
 
 # Training defaults per scale.  The desk settings replace the original
-# 3000-epoch schedule at learning rate 1e-6: SGD at that budget stalls far
-# below the desk accuracy targets, so desk runs default to Adam (see the
-# README's reproduction notes).
+# 3000-epoch schedule at learning rate 1e-6: an SGD step there moves each
+# weight by 1e-6 times its gradient, too little for the at most 300 desk
+# epochs to get near the desk accuracy targets.  Adam's step is about the
+# learning rate per weight whatever the gradient's scale, so desk runs default
+# to Adam at 1e-3.
 _TRAIN_DEFAULTS = {
     "desk": {
         "model": "perceptron3",

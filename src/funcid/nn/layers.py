@@ -5,6 +5,11 @@ parameter init, ``forward(x) -> (y, cache)`` and
 ``backward(grad_y, cache) -> (grad_x, param_grads)``.  Shapes exclude the
 leading batch axis.  All math runs in the layer's dtype (float32 by
 default; float64 for high-precision gradient checks).
+
+Layers with parameters (``Dense``, ``Conv2D``) also take
+``backward(grad_y, cache, need_dx=False)``, which returns ``(None,
+param_grads)`` and skips the input-gradient product.  ``Network.backward``
+passes it to the lowest such layer, whose input gradient nothing consumes.
 """
 
 from __future__ import annotations
@@ -67,10 +72,10 @@ class Dense(Layer):
     def forward(self, x):
         return x @ self.params["W"] + self.params["b"], x
 
-    def backward(self, grad_y, cache):
+    def backward(self, grad_y, cache, need_dx=True):
         x = cache
         grads = {"W": x.T @ grad_y, "b": grad_y.sum(axis=0)}
-        return grad_y @ self.params["W"].T, grads
+        return (grad_y @ self.params["W"].T if need_dx else None), grads
 
     def spec(self):
         return {"kind": "Dense", "args": {"units": self.units}}
@@ -123,24 +128,28 @@ class Conv2D(Layer):
         y = y.transpose(0, 2, 1).reshape(b, self.channels, ho, wo)
         return y, (x.shape, cols)
 
-    def backward(self, grad_y, cache):
+    def backward(self, grad_y, cache, need_dx=True):
         x_shape, cols = cache
         b, c, h, w = x_shape
         k = self.kernel
         ho, wo = h - k + 1, w - k + 1
-        gy = grad_y.reshape(b, self.channels, ho * wo).transpose(0, 2, 1)
+        gy = grad_y.reshape(b, self.channels, ho * wo)
         flat_cols = cols.reshape(-1, c * k * k)
-        flat_gy = gy.reshape(-1, self.channels)
+        flat_gy = gy.transpose(0, 2, 1).reshape(-1, self.channels)
         grads = {
             "W": (flat_cols.T @ flat_gy).T.reshape(self.params["W"].shape),
             "b": flat_gy.sum(axis=0),
         }
-        dcols = gy @ self.params["W"].reshape(self.channels, -1)
-        dcols = dcols.reshape(b, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
+        if not need_dx:
+            return None, grads
+        # col2im: (C*k*k, L) per sample, so each kernel tap (i, j) reads a
+        # slice whose (ho, wo) axes are contiguous.
+        dcols = self.params["W"].reshape(self.channels, -1).T @ gy
+        taps = dcols.reshape(b, c, k, k, ho, wo)
         dx = np.zeros(x_shape, dtype=grad_y.dtype)
         for i in range(k):
             for j in range(k):
-                dx[:, :, i : i + ho, j : j + wo] += dcols[:, :, :, :, i, j]
+                dx[:, :, i : i + ho, j : j + wo] += taps[:, :, i, j]
         return dx, grads
 
     def spec(self):
@@ -169,7 +178,15 @@ class _Pool2D(Layer):
 
 class AvgPool2D(_Pool2D):
     def forward(self, x):
-        y = self._blocks(x).mean(axis=(4, 5))
+        # Window taps summed row-major, then divided: on the channel-last
+        # layout a Conv2D + activation produces, this is the summation order
+        # of ``mean`` over the window axes, without its transposed copy.
+        s = self.size
+        taps = [x[:, :, i::s, j::s] for i in range(s) for j in range(s)]
+        y = taps[0].copy()
+        for tap in taps[1:]:
+            y += tap
+        y /= s * s
         return y, x.shape
 
     def backward(self, grad_y, cache):
@@ -254,21 +271,3 @@ class Reshape(Layer):
     def spec(self):
         return {"kind": "Reshape", "args": {"shape": list(self.shape)}}
 
-
-LAYER_KINDS = {
-    "Dense": lambda args: Dense(args["units"]),
-    "Conv2D": lambda args: Conv2D(args["channels"], args["kernel"]),
-    "AvgPool2D": lambda args: AvgPool2D(args["size"]),
-    "MaxPool2D": lambda args: MaxPool2D(args["size"]),
-    "ReLU": lambda args: ReLU(),
-    "Tanh": lambda args: Tanh(),
-    "Flatten": lambda args: Flatten(),
-    "Reshape": lambda args: Reshape(tuple(args["shape"])),
-}
-
-
-def layer_from_spec(spec: dict) -> Layer:
-    kind = spec["kind"]
-    if kind not in LAYER_KINDS:
-        raise LayerError(f"unknown layer kind {kind!r}")
-    return LAYER_KINDS[kind](spec["args"])

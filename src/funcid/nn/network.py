@@ -108,11 +108,19 @@ class Network:
         return self.forward_normalized(self.apply_input_norm(batch))
 
     def backward(self, grad_logits: np.ndarray, caches: list):
-        """Per-layer parameter grads, mirrored on parameters() order."""
+        """Per-layer parameter grads, mirrored on parameters() order.
+
+        The descent stops at the lowest layer with parameters, which skips
+        its input gradient: no layer below it has anything to learn.
+        """
         grads: dict[tuple[int, str], np.ndarray] = {}
         grad = grad_logits
-        for i in range(len(self.layers) - 1, -1, -1):
-            grad, layer_grads = self.layers[i].backward(grad, caches[i])
+        lowest = next(i for i, layer in enumerate(self.layers) if layer.params)
+        for i in range(len(self.layers) - 1, lowest - 1, -1):
+            if i == lowest:
+                _, layer_grads = self.layers[i].backward(grad, caches[i], need_dx=False)
+            else:
+                grad, layer_grads = self.layers[i].backward(grad, caches[i])
             for name, g in layer_grads.items():
                 grads[(i, name)] = g
         return grads
@@ -298,6 +306,8 @@ def load_model(path) -> Network:
         dtype=descriptor["dtype"],
     )
     model = build_network(meta)
+    if descriptor.get("layers") != [layer.spec() for layer in model.layers]:
+        raise CheckpointError(f"{path}: stored layers do not match the {meta.preset} topology")
     offset = 10 + blob_len
     for _, _, p in model.parameters():
         n = p.size * 4

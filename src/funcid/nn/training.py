@@ -159,6 +159,11 @@ def _make_stepper(cfg: TrainConfig, model: Network):
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         m_state = {(i, n): np.zeros_like(p) for i, n, p in params}
         v_state = {(i, n): np.zeros_like(p) for i, n, p in params}
+        # Scratch shared by all parameters: one buffer in the model dtype and
+        # one float64 buffer for the step, which the float64 ``scale`` widens.
+        largest = max(p.size for _, _, p in params)
+        scratch = np.empty(largest, dtype=params[0][2].dtype)
+        wide = np.empty(largest, dtype=np.float64)
         step = 0
 
         def adam_step(grads):
@@ -166,14 +171,21 @@ def _make_stepper(cfg: TrainConfig, model: Network):
             step += 1
             scale = cfg.learning_rate * np.sqrt(1.0 - beta2**step) / (1.0 - beta1**step)
             for i, name, p in params:
-                g = grads[(i, name)].astype(p.dtype)
+                g = np.asarray(grads[(i, name)], dtype=p.dtype)
                 m = m_state[(i, name)]
                 v = v_state[(i, name)]
+                tmp = scratch[: p.size].reshape(p.shape)
                 m *= beta1
-                m += (1.0 - beta1) * g
+                m += np.multiply(g, 1.0 - beta1, out=tmp)
                 v *= beta2
-                v += (1.0 - beta2) * g * g
-                p -= (scale * m / (np.sqrt(v) + eps)).astype(p.dtype)
+                np.multiply(g, 1.0 - beta2, out=tmp)
+                v += np.multiply(tmp, g, out=tmp)
+                np.sqrt(v, out=tmp)
+                tmp += eps
+                # The quotient is rounded once, from float64 to the model
+                # dtype, before the subtraction.
+                step64 = np.multiply(m, scale, out=wide[: p.size].reshape(p.shape))
+                p -= np.divide(step64, tmp, out=tmp)
 
         return adam_step
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -325,6 +327,17 @@ class TestSaveLoad:
         raw[64] ^= 0xFF
         path.write_bytes(bytes(raw))
         with pytest.raises(DigestMismatchError):
+            load(path)
+
+    def test_edited_manifest_digest_detected(self, tmp_path):
+        ds = build_dataset(small_spec(train=2, test=0))["train"]
+        path = tmp_path / "data.limg"
+        save(ds, path)
+        sidecar = tmp_path / "data.limg.manifest.json"
+        manifest = json.loads(sidecar.read_text(encoding="utf-8"))
+        manifest["digest"] = "0" * 64
+        sidecar.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(DigestMismatchError, match="manifest digest"):
             load(path)
 
     def test_bad_magic(self, tmp_path):

@@ -339,6 +339,14 @@ class TestImageProperties:
         assert img.instance_seed == 13
         assert img.image_type is ImageType.TYPE2
 
+    def test_value_beyond_float32_range_rejected(self, monkeypatch):
+        import funcid.encoder
+
+        monkeypatch.setattr(funcid.encoder, "evaluate", lambda instance, x, counter: 1e39)
+        cfg = EncoderConfig(dim=2, sample_size=2, image_type=1, frame_size=4)
+        with pytest.raises(EncoderError, match="non-finite"):
+            construct_image(sphere(2), cfg, sample_seed=5)
+
     def test_dim_mismatch_rejected(self):
         cfg = EncoderConfig(dim=3, sample_size=2, image_type=1)
         with pytest.raises(EncoderError):

@@ -20,7 +20,8 @@ from funcid.nn import (
     softmax,
     train,
 )
-from funcid.nn.layers import Dense
+from funcid.nn.layers import AvgPool2D, Conv2D, Dense, ReLU, Tanh
+from funcid.nn.training import _make_stepper
 
 
 def finite_difference_worst_error(model, x, y, coords_per_param, h_scale, seed):
@@ -226,6 +227,171 @@ class TestGradientOracle:
         assert worst < 1e-4
 
 
+# -- reference oracles for the fast training step ---------------------------------
+#
+# The functions below keep the straightforward forms of the training step:
+# ``mean`` over transposed pooling windows, col2im through a 6-D transpose, a
+# backward descent through every layer, and an Adam step built from
+# temporaries.  The fast paths must reproduce their bytes.
+
+
+def reference_avgpool_forward(layer, x):
+    return layer._blocks(x).mean(axis=(4, 5))
+
+
+def reference_conv_backward(layer, grad_y, cache):
+    x_shape, cols = cache
+    b, c, h, w = x_shape
+    k = layer.kernel
+    ho, wo = h - k + 1, w - k + 1
+    gy = grad_y.reshape(b, layer.channels, ho * wo).transpose(0, 2, 1)
+    flat_cols = cols.reshape(-1, c * k * k)
+    flat_gy = gy.reshape(-1, layer.channels)
+    grads = {
+        "W": (flat_cols.T @ flat_gy).T.reshape(layer.params["W"].shape),
+        "b": flat_gy.sum(axis=0),
+    }
+    dcols = gy @ layer.params["W"].reshape(layer.channels, -1)
+    dcols = dcols.reshape(b, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
+    dx = np.zeros(x_shape, dtype=grad_y.dtype)
+    for i in range(k):
+        for j in range(k):
+            dx[:, :, i : i + ho, j : j + wo] += dcols[:, :, :, :, i, j]
+    return dx, grads
+
+
+def reference_loss_and_grads(model, batch, labels):
+    x = model.apply_input_norm(batch)
+    caches = []
+    for layer in model.layers:
+        if isinstance(layer, AvgPool2D):
+            x, cache = reference_avgpool_forward(layer, x), x.shape
+        else:
+            x, cache = layer.forward(x)
+        caches.append(cache)
+    b = x.shape[0]
+    z = x - x.max(axis=1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    loss = float(-log_probs[np.arange(b), labels].mean())
+    dlogits = np.exp(log_probs)
+    dlogits[np.arange(b), labels] -= 1.0
+    dlogits /= b
+    grads = {}
+    grad = dlogits.astype(x.dtype)
+    for i in range(len(model.layers) - 1, -1, -1):
+        layer = model.layers[i]
+        if isinstance(layer, Conv2D):
+            grad, layer_grads = reference_conv_backward(layer, grad, caches[i])
+        else:
+            grad, layer_grads = layer.backward(grad, caches[i])
+        for name, g in layer_grads.items():
+            grads[(i, name)] = g
+    return loss, grads
+
+
+def reference_adam_stepper(learning_rate, model):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    params = model.parameters()
+    m_state = {(i, n): np.zeros_like(p) for i, n, p in params}
+    v_state = {(i, n): np.zeros_like(p) for i, n, p in params}
+    step = 0
+
+    def adam_step(grads):
+        nonlocal step
+        step += 1
+        scale = learning_rate * np.sqrt(1.0 - beta2**step) / (1.0 - beta1**step)
+        for i, name, p in params:
+            g = grads[(i, name)].astype(p.dtype)
+            m = m_state[(i, name)]
+            v = v_state[(i, name)]
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g * g
+            p -= (scale * m / (np.sqrt(v) + eps)).astype(p.dtype)
+
+    return adam_step
+
+
+def assert_same_bytes(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+class TestReferenceOracles:
+    @pytest.mark.parametrize("activation", [ReLU, Tanh])
+    def test_avgpool_forward_on_conv_layout(self, activation):
+        conv = Conv2D(6, 5)
+        conv.init((1, 28, 28), np.random.default_rng(0), np.float32)
+        x = np.random.default_rng(1).random((8, 1, 28, 28)).astype(np.float32)
+        y, _ = activation().forward(conv.forward(x)[0])
+        assert not y.flags.c_contiguous  # channel-last, as Conv2D leaves it
+        pool = AvgPool2D(2)
+        assert_same_bytes(pool.forward(y)[0], reference_avgpool_forward(pool, y))
+
+    def test_conv_backward(self):
+        gen = np.random.default_rng(4)
+        conv = Conv2D(4, 3)
+        conv.init((2, 9, 9), np.random.default_rng(0), np.float32)
+        x = gen.random((5, 2, 9, 9)).astype(np.float32)
+        y, cache = conv.forward(x)
+        contiguous = gen.standard_normal(y.shape).astype(np.float32)
+        channel_last = np.empty_like(y)
+        channel_last[...] = contiguous
+        for grad_y in (contiguous, channel_last):
+            dx, grads = conv.backward(grad_y, cache)
+            ref_dx, ref_grads = reference_conv_backward(conv, grad_y, cache)
+            assert_same_bytes(dx, ref_dx)
+            no_dx, grads_only = conv.backward(grad_y, cache, need_dx=False)
+            assert no_dx is None
+            for name in ("W", "b"):
+                assert_same_bytes(grads[name], ref_grads[name])
+                assert_same_bytes(grads_only[name], ref_grads[name])
+
+    @pytest.mark.parametrize(
+        "preset,frame,kwargs",
+        [
+            ("perceptron3", 8, {}),
+            ("perceptron3", 8, {"activation": "tanh"}),
+            ("lenet5", 16, {}),
+            ("lenet5", 16, {"activation": "tanh"}),
+            ("lenet5", 16, {"pooling": "max"}),
+            ("lenet5", 32, {}),
+            ("lenet5", 16, {"dtype": "float64"}),
+        ],
+    )
+    def test_loss_and_grads(self, preset, frame, kwargs):
+        model = init_model(preset, 5, frame, seed=3, **kwargs)
+        gen = np.random.default_rng(2)
+        x = gen.random((16, frame, frame)).astype(np.float32)
+        y = gen.integers(0, 5, 16)
+        loss, grads = loss_and_grads(model, x, y)
+        ref_loss, ref_grads = reference_loss_and_grads(model, x, y)
+        assert loss == ref_loss
+        assert sorted(grads) == sorted(ref_grads)
+        for key in ref_grads:
+            assert_same_bytes(grads[key], ref_grads[key])
+
+    @pytest.mark.parametrize(
+        "preset,frame,dtype",
+        [("perceptron3", 8, "float32"), ("lenet5", 16, "float32"), ("lenet5", 16, "float64")],
+    )
+    def test_adam_steps(self, preset, frame, dtype):
+        cfg = TrainConfig(learning_rate=1e-2, epochs=1, optimizer="adam")
+        fast = init_model(preset, 3, frame, seed=3, dtype=dtype)
+        slow = init_model(preset, 3, frame, seed=3, dtype=dtype)
+        fast_step = _make_stepper(cfg, fast)
+        slow_step = reference_adam_stepper(cfg.learning_rate, slow)
+        gen = np.random.default_rng(6)
+        for _ in range(5):
+            x = gen.random((8, frame, frame)).astype(np.float32)
+            y = gen.integers(0, 3, 8)
+            fast_step(loss_and_grads(fast, x, y)[1])
+            slow_step(loss_and_grads(slow, x, y)[1])
+        for (_, _, a), (_, _, b) in zip(fast.parameters(), slow.parameters()):
+            assert_same_bytes(a, b)
+
+
 # -- training -------------------------------------------------------------------
 
 
@@ -368,6 +534,24 @@ class TestCheckpoints:
         raw[-5] ^= 0xFF
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError):
+            load_model(path)
+
+    def test_edited_layer_descriptor_detected(self, tmp_path):
+        import hashlib
+        import json
+        import struct
+
+        path = tmp_path / "model.lmdl"
+        save_model(init_model("perceptron3", 3, 8, seed=3), path)
+        raw = path.read_bytes()
+        _, blob_len = struct.unpack("<HI", raw[4:10])
+        descriptor = json.loads(raw[10 : 10 + blob_len])
+        assert descriptor["layers"][1] == {"kind": "Dense", "args": {"units": 256}}
+        descriptor["layers"][1]["args"]["units"] = 255
+        blob = json.dumps(descriptor, sort_keys=True).encode("utf-8")
+        body = raw[:4] + struct.pack("<HI", 1, len(blob)) + blob + raw[10 + blob_len : -32]
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(CheckpointError, match="stored layers"):
             load_model(path)
 
     def test_bad_magic(self, tmp_path):
