@@ -63,27 +63,44 @@ def random_orthogonal(d: int, generator: np.random.Generator) -> np.ndarray:
     """Draw a Haar-uniform orthogonal matrix via Gram-Schmidt.
 
     Gaussian columns are orthonormalized with modified Gram-Schmidt; a
-    second pass keeps ||Q^T Q - I||_inf well below 1e-9 for d up to 64.
+    second pass (for d > 1) keeps ||Q^T Q - I||_inf well below 1e-9 for d
+    up to 64.  A rank-deficient draw is rejected and redrawn.
     """
     while True:
-        a = generator.standard_normal((d, d))
-        q = _gram_schmidt(_gram_schmidt(a) if d > 1 else a)
+        q = _gram_schmidt(generator.standard_normal((d, d)))
+        if q is not None and d > 1:
+            q = _gram_schmidt(q)
         if q is not None:
             return q
 
 
-def _gram_schmidt(a: np.ndarray | None) -> np.ndarray | None:
-    if a is None:
-        return None
+def _gram_schmidt(a: np.ndarray) -> np.ndarray | None:
+    """Orthonormalize the columns of ``a``; ``None`` if one norm is < 1e-9.
+
+    Right-looking modified Gram-Schmidt.  Once column j is normalized, its
+    projection is removed from every later column i at once, so column i
+    still receives the projections of columns 0..i-1 in ascending order,
+    each against its updated self.  The operation order is pinned, because
+    every rotation matrix, and so every dataset digest, depends on its
+    bytes:
+
+    * the norm is ``np.linalg.norm`` of the column, a contiguous dot;
+    * each coefficient is one strided vector-vector dot of two columns.  The
+      stacked ``matmul`` below makes one such dot per later column.  The
+      gemv form ``q[:, j] @ q[:, j+1:]``, or any contiguous-row layout,
+      sums in another order and changes the result;
+    * the multiply ``r * q_j`` and the subtraction stay separate steps.
+    """
     q = np.array(a, dtype=np.float64, copy=True)
+    qt = q.T
     for j in range(q.shape[1]):
         v = q[:, j]
-        for i in range(j):
-            v -= (q[:, i] @ v) * q[:, i]
         norm = np.linalg.norm(v)
         if norm < 1e-9:
             return None
-        q[:, j] = v / norm
+        v /= norm
+        r = np.matmul(qt[j + 1:, None, :], v[:, None])
+        q[:, j + 1:] -= r[:, 0, 0] * v[:, None]
     return q
 
 

@@ -63,8 +63,7 @@ def bbob_class(index: int) -> str:
 class EvalCounter:
     """Counts objective queries; repeat queries of one point stay memoized.
 
-    distinct_queries <= total_queries always; both only grow.  Workers
-    should keep private counters and ``merge`` them at the end.
+    distinct_queries <= total_queries always; both only grow.
     """
 
     distinct_queries: int = 0
@@ -79,10 +78,6 @@ class EvalCounter:
         if fresh:
             self.distinct_queries += 1
             self._cache[key] = value
-
-    def merge(self, other: "EvalCounter") -> None:
-        self.distinct_queries += other.distinct_queries
-        self.total_queries += other.total_queries
 
 
 @dataclass(eq=False)

@@ -19,9 +19,33 @@ from funcid.suite import (
     problem,
     random_orthogonal,
 )
+from funcid.suite.bbob import _gram_schmidt
 
 BBOB = Suite.CONTINUOUS_BBOB
 PB = Suite.DISCRETE_PB
+
+ORACLE_DIMS = [2, 3, 4, 5, 7, 8, 16, 22, 31, 40, 64]
+ORACLE_SEEDS = [1, 2, 17, 99, 2**62 + 11]
+
+
+def _gram_schmidt_reference(a: np.ndarray | None) -> np.ndarray | None:
+    """Left-looking modified Gram-Schmidt, d^2/2 vector steps a pass.
+
+    The byte reference for ``_gram_schmidt``: the rotation matrices behind
+    every pinned digest were first made by this loop.
+    """
+    if a is None:
+        return None
+    q = np.array(a, dtype=np.float64, copy=True)
+    for j in range(q.shape[1]):
+        v = q[:, j]
+        for i in range(j):
+            v -= (q[:, i] @ v) * q[:, i]
+        norm = np.linalg.norm(v)
+        if norm < 1e-9:
+            return None
+        q[:, j] = v / norm
+    return q
 
 
 # -- problem listing ---------------------------------------------------------
@@ -83,6 +107,35 @@ class TestMakeInstance:
     def test_random_orthogonal_tolerance(self, d):
         r = random_orthogonal(d, rng.substream(17, rng.ROTATION_R, d))
         assert np.max(np.abs(r.T @ r - np.eye(d))) < 1e-9
+
+    @pytest.mark.parametrize("d", ORACLE_DIMS)
+    def test_gram_schmidt_matches_reference_bytes(self, d):
+        for seed in ORACLE_SEEDS:
+            a = rng.substream(seed, rng.ROTATION_R, d).standard_normal((d, d))
+            before = a.copy()
+            assert np.array_equal(_gram_schmidt(a), _gram_schmidt_reference(a))
+            assert np.array_equal(a, before)
+
+    @pytest.mark.parametrize("d", [1] + ORACLE_DIMS)
+    def test_random_orthogonal_matches_reference_bytes(self, d):
+        for seed in ORACLE_SEEDS:
+            got = random_orthogonal(d, rng.substream(seed, rng.ROTATION_Q))
+            a = rng.substream(seed, rng.ROTATION_Q).standard_normal((d, d))
+            want = _gram_schmidt_reference(a)
+            if d > 1:
+                want = _gram_schmidt_reference(want)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d", [2, 5, 22])
+    def test_gram_schmidt_rank_deficient_is_none(self, d):
+        a = rng.substream(5, rng.ROTATION_R, d).standard_normal((d, d))
+        duplicated = a.copy()
+        duplicated[:, -1] = duplicated[:, 0]
+        zero = a.copy()
+        zero[:, d // 2] = 0.0
+        for bad in (duplicated, zero):
+            assert _gram_schmidt_reference(bad) is None
+            assert _gram_schmidt(bad) is None
 
     def test_bit_identical_rebuild(self):
         a = make_instance(problem(BBOB, 15), 22, 99)
@@ -233,12 +286,6 @@ class TestEvalCounter:
         evaluate(inst, np.zeros(3), counter)
         evaluate(inst, np.ones(3), counter)
         assert counter.distinct_queries == counter.total_queries == 2
-
-    def test_counter_merge(self):
-        a = EvalCounter(distinct_queries=2, total_queries=5)
-        b = EvalCounter(distinct_queries=1, total_queries=3)
-        a.merge(b)
-        assert (a.distinct_queries, a.total_queries) == (3, 8)
 
     @given(st.integers(min_value=0, max_value=2**63 - 1), st.integers(1, 24))
     @settings(max_examples=25, deadline=None)
