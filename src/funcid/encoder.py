@@ -127,14 +127,44 @@ def type5_sample_count(cfg: EncoderConfig) -> int:
     return -(-remaining // cfg.d_prime)
 
 
+def display_vectors(samples: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
+    """The vector of every displayed row (Types 1-4) or stream segment (Type-5).
+
+    Types 1-4 show the samples, then the probe rows; Type-5 streams its
+    probes first.
+    """
+    probes = probe_vectors(cfg.dim)[_probe_row_sequence(cfg)]
+    if cfg.image_type is ImageType.TYPE5:
+        return np.concatenate([probes, samples])
+    return np.concatenate([samples, probes])
+
+
+def layout(vectors: np.ndarray, values: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
+    """Lay out the rows tau = [vector, value] in display order as an M x M image."""
+    m, d = cfg.frame_size, cfg.dim
+    if cfg.image_type in (ImageType.TYPE1, ImageType.TYPE3):
+        pixels = np.empty((m, m))
+        pixels[:, :d] = vectors
+        pixels[:, d:] = values[:, None]
+        return pixels
+    tau = np.column_stack([vectors, values])
+    if cfg.image_type is ImageType.TYPE5:
+        stream = tau.ravel()[: m * m]
+        if stream.size != m * m:
+            raise EncoderError("Type-5 stream under-filled; not enough sample vectors")
+        return stream.reshape(m, m)
+    return np.tile(tau, (1, -(-m // (d + 1))))[:, :m]
+
+
 def construct_image(
     instance: FunctionInstance, cfg: EncoderConfig, sample_seed: int
 ) -> LandscapeImage:
-    """Sample, evaluate (memoized), and lay out one landscape image.
+    """Sample, evaluate, and lay out one landscape image.
 
     Types 1-4 use cfg.sample_size random points; Type-5 ignores it and
-    draws exactly as many as fill the M*M stream.  The returned query_cost
-    counts distinct and total objective calls for this image.
+    draws exactly as many as fill the M*M stream.  The samples and every
+    displayed probe row are evaluated in one batch; the returned query_cost
+    counts its distinct and total points.
     """
     if cfg.dim != instance.dim:
         raise EncoderError(f"config dim {cfg.dim} != instance dim {instance.dim}")
@@ -154,19 +184,11 @@ def construct_image(
         samples = sample_points(cfg.dim, n_samples, sample_seed, cfg.domain_map)
 
     counter = EvalCounter()
-    values = np.array([evaluate(instance, x, counter) for x in samples])
-
-    # One evaluate call per displayed probe row; the memo keeps the distinct
-    # count at the number of unique probe vectors.
-    probes = probe_vectors(cfg.dim)
-    probe_values = np.full(cfg.dim + 1, np.nan)
-    for idx in _probe_row_sequence(cfg):
-        probe_values[idx] = evaluate(instance, probes[idx], counter)
-
-    encoder = _ENCODERS[cfg.image_type]
+    vectors = display_vectors(samples, cfg)
+    values = evaluate(instance, vectors, counter)
     # Checked after the cast: a value beyond the float32 range is finite in
     # float64 but becomes inf in the pixels.
-    pixels = encoder(samples, values, probe_values, cfg).astype(np.float32)
+    pixels = layout(vectors, values, cfg).astype(np.float32)
     if not np.all(np.isfinite(pixels)):
         raise EncoderError("landscape image contains non-finite pixels")
 
@@ -177,78 +199,6 @@ def construct_image(
         image_type=cfg.image_type,
         query_cost=EvalCounter(counter.distinct_queries, counter.total_queries),
     )
-
-
-def _value_replicated_row(vec: np.ndarray, value: float, m: int) -> np.ndarray:
-    """[x, y, then y replicated out to width M]."""
-    row = np.empty(m)
-    row[: vec.size] = vec
-    row[vec.size :] = value
-    return row
-
-
-def _tiled_row(vec: np.ndarray, value: float, m: int) -> np.ndarray:
-    """tau repeated left-to-right, last copy truncated at width M."""
-    tau = np.append(vec, value)
-    reps = -(-m // tau.size)
-    return np.tile(tau, reps)[:m]
-
-
-def _frame(samples, values, probe_values, cfg, row_fn, probe_cycle: bool) -> np.ndarray:
-    m, d = cfg.frame_size, cfg.dim
-    probes = probe_vectors(d)
-    pixels = np.empty((m, m))
-    for j in range(min(len(samples), m)):
-        pixels[j] = row_fn(samples[j], values[j], m)
-    for j in range(len(samples), m):
-        idx = (j - len(samples)) % (d + 1) if probe_cycle else 0
-        pixels[j] = row_fn(probes[idx], probe_values[idx], m)
-    return pixels
-
-
-def encode_type1(samples, values, probe_values, cfg: EncoderConfig) -> np.ndarray:
-    return _frame(samples, values, probe_values, cfg, _value_replicated_row, False)
-
-
-def encode_type2(samples, values, probe_values, cfg: EncoderConfig) -> np.ndarray:
-    return _frame(samples, values, probe_values, cfg, _tiled_row, False)
-
-
-def encode_type3(samples, values, probe_values, cfg: EncoderConfig) -> np.ndarray:
-    return _frame(samples, values, probe_values, cfg, _value_replicated_row, True)
-
-
-def encode_type4(samples, values, probe_values, cfg: EncoderConfig) -> np.ndarray:
-    return _frame(samples, values, probe_values, cfg, _tiled_row, True)
-
-
-def encode_type5(samples, values, probe_values, cfg: EncoderConfig) -> np.ndarray:
-    """Flat stream tau(0), tau(e1), tau(x1), ... reshaped row-wise to M x M."""
-    m, d = cfg.frame_size, cfg.dim
-    probes = probe_vectors(d)
-    stream = np.empty(m * m)
-    pos = 0
-    vectors = [(probes[0], probe_values[0]), (probes[1], probe_values[1])] if d >= 1 else []
-    vectors += [(samples[j], values[j]) for j in range(len(samples))]
-    for vec, val in vectors:
-        if pos >= stream.size:
-            break
-        tau = np.append(vec, val)
-        take = min(tau.size, stream.size - pos)
-        stream[pos : pos + take] = tau[:take]
-        pos += take
-    if pos != stream.size:
-        raise EncoderError("Type-5 stream under-filled; not enough sample vectors")
-    return stream.reshape(m, m)
-
-
-_ENCODERS = {
-    ImageType.TYPE1: encode_type1,
-    ImageType.TYPE2: encode_type2,
-    ImageType.TYPE3: encode_type3,
-    ImageType.TYPE4: encode_type4,
-    ImageType.TYPE5: encode_type5,
-}
 
 
 class PixelFinalize(enum.Enum):

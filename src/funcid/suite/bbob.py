@@ -5,6 +5,22 @@ asymmetry nonlinearities, Lambda^alpha conditioning matrices, orthogonal
 R/Q rotations, and per-function optimum placement.  All arithmetic is
 float64; instances precompute every constant they need so evaluation is a
 handful of vector ops.
+
+Every evaluator works on an (n, d) batch of points, and each row gets the
+float64 bytes that the same point gets alone.  The operation order that
+guarantees this is pinned, because the dataset digests depend on it:
+
+* a matrix-vector product ``R @ x`` is one gemv per row (``_matvec``); the
+  gemm ``x @ R.T`` and ``einsum`` sum in another order;
+* a dot product ``z @ z`` is one dot per row (``_dot``);
+  ``np.sum(z * z, axis=1)`` and ``einsum`` sum in another order;
+* ``np.sum``, ``np.mean`` and ``np.prod`` reduce along the last axis of
+  C-contiguous rows, the order a single row reduces in;
+* ``exp``, ``log``, ``sin``, ``cos``, ``sqrt`` and array ``np.power`` are
+  elementwise and give each element the same bytes in any array;
+* the final scalar powers of f6, f16, f17/f18, f21/f22 and f23 are Python
+  float powers (libm ``pow``, ``_pow``): ``np.power`` on an array may use a
+  vectorized pow that rounds differently.
 """
 
 from __future__ import annotations
@@ -84,7 +100,9 @@ def _gram_schmidt(a: np.ndarray) -> np.ndarray | None:
     every rotation matrix, and so every dataset digest, depends on its
     bytes:
 
-    * the norm is ``np.linalg.norm`` of the column, a contiguous dot;
+    * the norm is ``math.sqrt(c @ c)`` of a contiguous copy ``c`` of the
+      column: the contiguous dot ``np.linalg.norm`` takes, without its
+      checks and ravel;
     * each coefficient is one strided vector-vector dot of two columns.  The
       stacked ``matmul`` below makes one such dot per later column.  The
       gemv form ``q[:, j] @ q[:, j+1:]``, or any contiguous-row layout,
@@ -95,7 +113,8 @@ def _gram_schmidt(a: np.ndarray) -> np.ndarray | None:
     qt = q.T
     for j in range(q.shape[1]):
         v = q[:, j]
-        norm = np.linalg.norm(v)
+        c = v.copy()
+        norm = math.sqrt(c @ c)
         if norm < 1e-9:
             return None
         v /= norm
@@ -116,27 +135,24 @@ def _sign_vec(v: np.ndarray) -> np.ndarray:
     return np.where(v >= 0.0, 1.0, -1.0)
 
 
-def oscillate(v: np.ndarray | float) -> np.ndarray | float:
+def oscillate(v: np.ndarray) -> np.ndarray:
     """The oscillation nonlinearity T_osz, elementwise."""
-    v = np.asarray(v, dtype=np.float64)
     with np.errstate(divide="ignore"):
         x_hat = np.where(v == 0.0, 0.0, np.log(np.abs(v)))
     c1 = np.where(v > 0.0, 10.0, 5.5)
     c2 = np.where(v > 0.0, 7.9, 3.1)
-    out = np.sign(v) * np.exp(x_hat + 0.049 * (np.sin(c1 * x_hat) + np.sin(c2 * x_hat)))
-    return out if out.ndim else float(out)
+    return np.sign(v) * np.exp(x_hat + 0.049 * (np.sin(c1 * x_hat) + np.sin(c2 * x_hat)))
 
 
 def asymmetrize(v: np.ndarray, beta: float) -> np.ndarray:
-    """The asymmetry nonlinearity T_asy^beta, elementwise."""
-    d = v.shape[0]
-    exponent = 1.0 + beta * _lin(d) * np.sqrt(np.maximum(v, 0.0))
+    """The asymmetry nonlinearity T_asy^beta, elementwise over rows of length d."""
+    exponent = 1.0 + beta * _lin(v.shape[-1]) * np.sqrt(np.maximum(v, 0.0))
     return np.where(v > 0.0, np.power(np.maximum(v, 0.0), exponent), v)
 
 
-def boundary_penalty(x: np.ndarray) -> float:
-    """Sum of squared overshoots beyond the [-5, 5] box."""
-    return float(np.sum(np.square(np.maximum(0.0, np.abs(x) - 5.0))))
+def boundary_penalty(x: np.ndarray) -> np.ndarray:
+    """Sum of squared overshoots beyond the [-5, 5] box, per row."""
+    return np.sum(np.square(np.maximum(0.0, np.abs(x) - 5.0)), axis=1)
 
 
 def build_params(k: int, d: int, instance_seed: int) -> dict:
@@ -286,171 +302,191 @@ def _build_gallagher(p: dict, d: int, instance_seed: int, n_peaks: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Evaluators.  Each takes (params, x) with x validated float64 of length d.
+# Evaluators.  Each maps (params, x), x validated C-contiguous float64 of shape
+# (n, d), to the (n,) float64 values; row i depends on x[i] alone.
 # ---------------------------------------------------------------------------
 
+def _matvec(m, x):
+    """``m @ x[i]`` for every row: one gemv per row, never a gemm."""
+    return np.matmul(m, x[:, :, None])[:, :, 0]
+
+
+def _dot(z):
+    """``z[i] @ z[i]`` for every row: one dot product per row."""
+    return np.matmul(z[:, None, :], z[:, :, None])[:, 0, 0]
+
+
+def _pow(a, e):
+    """``a[i] ** e`` as a Python float power (libm ``pow``) for every row."""
+    return np.array([v**e for v in a.tolist()])
+
+
+def _rastrigin(d, z):
+    return 10.0 * (d - np.sum(np.cos(2.0 * np.pi * z), axis=1)) + _dot(z)
+
+
 def _f01_sphere(p, x):
-    z = x - p["x_opt"]
-    return float(z @ z)
+    return _dot(x - p["x_opt"])
 
 
 def _f02_ellipsoidal(p, x):
     z = oscillate(x - p["x_opt"])
-    return float(np.sum(p["cond6"] * z * z))
+    return np.sum(p["cond6"] * z * z, axis=1)
 
 
 def _f03_rastrigin(p, x):
     z = p["lam10"] * asymmetrize(oscillate(x - p["x_opt"]), 0.2)
-    return float(10.0 * (p["d"] - np.sum(np.cos(2.0 * np.pi * z))) + z @ z)
+    return _rastrigin(p["d"], z)
 
 
 def _f04_bueche_rastrigin(p, x):
     z = oscillate(x - p["x_opt"])
-    s = p["s_base"].copy()
     boost = (z > 0.0) & (np.arange(p["d"]) % 2 == 0)
-    s[boost] *= 10.0
-    z = s * z
-    core = 10.0 * (p["d"] - np.sum(np.cos(2.0 * np.pi * z))) + z @ z
-    return float(core + 100.0 * boundary_penalty(x))
+    z = np.where(boost, p["s_base"] * 10.0, p["s_base"]) * z
+    return _rastrigin(p["d"], z) + 100.0 * boundary_penalty(x)
 
 
 def _f05_linear_slope(p, x):
     x_opt = p["x_opt"]
     z = np.where(x_opt * x < 25.0, x, x_opt)
     s = p["slope"]
-    return float(np.sum(5.0 * np.abs(s) - s * z))
+    return np.sum(5.0 * np.abs(s) - s * z, axis=1)
 
 
 def _f06_attractive_sector(p, x):
-    z = p["Q"] @ (p["lam10"] * (p["R"] @ (x - p["x_opt"])))
+    z = _matvec(p["Q"], p["lam10"] * _matvec(p["R"], x - p["x_opt"]))
     s = np.where(z * p["x_opt"] > 0.0, 100.0, 1.0)
-    return float(oscillate(float(np.sum(np.square(s * z)))) ** 0.9)
+    return _pow(oscillate(np.sum(np.square(s * z), axis=1)), 0.9)
 
 
 def _f07_step_ellipsoidal(p, x):
-    z_hat = p["lam10"] * (p["R"] @ (x - p["x_opt"]))
+    z_hat = p["lam10"] * _matvec(p["R"], x - p["x_opt"])
     z_tilde = np.where(
         np.abs(z_hat) > 0.5,
         np.floor(0.5 + z_hat),
         np.floor(0.5 + 10.0 * z_hat) / 10.0,
     )
-    z = p["Q"] @ z_tilde
-    core = 0.1 * max(abs(z_hat[0]) * 1e-4, float(np.sum(p["cond2"] * z * z)))
-    return float(core + boundary_penalty(x))
+    z = _matvec(p["Q"], z_tilde)
+    floor = np.abs(z_hat[:, 0]) * 1e-4
+    ellipsoid = np.sum(p["cond2"] * z * z, axis=1)
+    # max(floor, ellipsoid), keeping the first operand on ties.
+    return 0.1 * np.where(ellipsoid > floor, ellipsoid, floor) + boundary_penalty(x)
 
 
 def _rosenbrock_core(z):
-    zi, zn = z[:-1], z[1:]
-    return float(np.sum(100.0 * np.square(zi * zi - zn) + np.square(zi - 1.0)))
+    zi, zn = z[:, :-1], z[:, 1:]
+    return np.sum(100.0 * np.square(zi * zi - zn) + np.square(zi - 1.0), axis=1)
 
 
 def _f08_rosenbrock(p, x):
-    z = p["scale"] * (x - p["x_opt"]) + 1.0
-    return _rosenbrock_core(z)
+    return _rosenbrock_core(p["scale"] * (x - p["x_opt"]) + 1.0)
 
 
 def _f09_rosenbrock_rotated(p, x):
-    z = p["scale"] * (p["R"] @ x) + 0.5
-    return _rosenbrock_core(z)
+    return _rosenbrock_core(p["scale"] * _matvec(p["R"], x) + 0.5)
 
 
 def _f10_ellipsoidal_rotated(p, x):
-    z = oscillate(p["R"] @ (x - p["x_opt"]))
-    return float(np.sum(p["cond6"] * z * z))
+    z = oscillate(_matvec(p["R"], x - p["x_opt"]))
+    return np.sum(p["cond6"] * z * z, axis=1)
+
+
+def _tail_square_sum(z):
+    return np.sum(z[:, 1:] * z[:, 1:], axis=1)
 
 
 def _f11_discus(p, x):
-    z = oscillate(p["R"] @ (x - p["x_opt"]))
-    return float(1e6 * z[0] * z[0] + np.sum(z[1:] * z[1:]))
+    z = oscillate(_matvec(p["R"], x - p["x_opt"]))
+    return 1e6 * z[:, 0] * z[:, 0] + _tail_square_sum(z)
 
 
 def _f12_bent_cigar(p, x):
-    z = p["R"] @ asymmetrize(p["R"] @ (x - p["x_opt"]), 0.5)
-    return float(z[0] * z[0] + 1e6 * np.sum(z[1:] * z[1:]))
+    z = _matvec(p["R"], asymmetrize(_matvec(p["R"], x - p["x_opt"]), 0.5))
+    return z[:, 0] * z[:, 0] + 1e6 * _tail_square_sum(z)
 
 
 def _f13_sharp_ridge(p, x):
-    z = p["Q"] @ (p["lam10"] * (p["R"] @ (x - p["x_opt"])))
-    return float(z[0] * z[0] + 100.0 * math.sqrt(float(np.sum(z[1:] * z[1:]))))
+    z = _matvec(p["Q"], p["lam10"] * _matvec(p["R"], x - p["x_opt"]))
+    return z[:, 0] * z[:, 0] + 100.0 * np.sqrt(_tail_square_sum(z))
 
 
 def _f14_different_powers(p, x):
-    z = p["R"] @ (x - p["x_opt"])
-    return float(math.sqrt(np.sum(np.power(np.abs(z), p["exponents"]))))
+    z = _matvec(p["R"], x - p["x_opt"])
+    return np.sqrt(np.sum(np.power(np.abs(z), p["exponents"]), axis=1))
 
 
 def _f15_rastrigin_rotated(p, x):
-    z = asymmetrize(oscillate(p["R"] @ (x - p["x_opt"])), 0.2)
-    z = p["R"] @ (p["lam10"] * (p["Q"] @ z))
-    return float(10.0 * (p["d"] - np.sum(np.cos(2.0 * np.pi * z))) + z @ z)
+    z = asymmetrize(oscillate(_matvec(p["R"], x - p["x_opt"])), 0.2)
+    z = _matvec(p["R"], p["lam10"] * _matvec(p["Q"], z))
+    return _rastrigin(p["d"], z)
 
 
 def _f16_weierstrass(p, x):
-    z = oscillate(p["R"] @ (x - p["x_opt"]))
-    z = p["R"] @ (p["lam001"] * (p["Q"] @ z))
+    z = oscillate(_matvec(p["R"], x - p["x_opt"]))
+    z = _matvec(p["R"], p["lam001"] * _matvec(p["Q"], z))
     d = p["d"]
     inner = np.sum(
-        p["half_pow"] * np.cos(2.0 * np.pi * p["three_pow"] * (z[:, None] + 0.5)),
-        axis=1,
+        p["half_pow"] * np.cos(2.0 * np.pi * p["three_pow"] * (z[:, :, None] + 0.5)),
+        axis=2,
     )
-    core = 10.0 * (float(np.sum(inner)) / d - p["f0"]) ** 3
-    return float(core + 10.0 / d * boundary_penalty(x))
+    core = 10.0 * _pow(np.sum(inner, axis=1) / d - p["f0"], 3)
+    return core + 10.0 / d * boundary_penalty(x)
 
 
 def _schaffers(p, x):
-    z = p["lam"] * (p["Q"] @ asymmetrize(p["R"] @ (x - p["x_opt"]), 0.5))
-    s = np.sqrt(z[:-1] ** 2 + z[1:] ** 2)
+    z = p["lam"] * _matvec(p["Q"], asymmetrize(_matvec(p["R"], x - p["x_opt"]), 0.5))
+    s = np.sqrt(z[:, :-1] ** 2 + z[:, 1:] ** 2)
     root = np.sqrt(s)
-    core = np.sum(root + root * np.sin(50.0 * np.power(s, 0.2)) ** 2)
-    core = (core / (p["d"] - 1.0)) ** 2
-    return float(core + 10.0 * boundary_penalty(x))
+    core = np.sum(root + root * np.sin(50.0 * np.power(s, 0.2)) ** 2, axis=1)
+    return _pow(core / (p["d"] - 1.0), 2) + 10.0 * boundary_penalty(x)
 
 
 def _f19_griewank_rosenbrock(p, x):
-    z = p["scale"] * (p["R"] @ x) + 0.5
-    zi, zn = z[:-1], z[1:]
+    z = p["scale"] * _matvec(p["R"], x) + 0.5
+    zi, zn = z[:, :-1], z[:, 1:]
     s = 100.0 * np.square(zi * zi - zn) + np.square(zi - 1.0)
-    core = np.sum(s / 4000.0 - np.cos(s))
-    return float(10.0 * core / (p["d"] - 1.0) + 10.0)
+    core = np.sum(s / 4000.0 - np.cos(s), axis=1)
+    return 10.0 * core / (p["d"] - 1.0) + 10.0
 
 
 def _f20_schwefel(p, x):
     abs2 = 2.0 * np.abs(p["x_opt"])
     x_hat = 2.0 * p["signs"] * x
     z_hat = x_hat.copy()
-    z_hat[1:] += 0.25 * (x_hat[:-1] - abs2[:-1])
+    z_hat[:, 1:] += 0.25 * (x_hat[:, :-1] - abs2[:-1])
     z = 100.0 * (p["lam10"] * (z_hat - abs2) + abs2)
-    core = _SCHWEFEL_C - float(np.mean(z * np.sin(np.sqrt(np.abs(z))))) / 100.0
-    return float(core + 100.0 * boundary_penalty(z / 100.0))
+    core = _SCHWEFEL_C - np.mean(z * np.sin(np.sqrt(np.abs(z))), axis=1) / 100.0
+    return core + 100.0 * boundary_penalty(z / 100.0)
 
 
 def _gallagher(p, x):
-    diff = (p["R"] @ x)[None, :] - p["centers"]
-    expo = -np.sum(p["peak_scales"] * diff * diff, axis=1) / (2.0 * p["d"])
-    best = float(np.max(p["weights"] * np.exp(expo)))
-    return float(oscillate(10.0 - best) ** 2 + boundary_penalty(x))
+    diff = _matvec(p["R"], x)[:, None, :] - p["centers"]
+    expo = -np.sum(p["peak_scales"] * diff * diff, axis=2) / (2.0 * p["d"])
+    best = np.max(p["weights"] * np.exp(expo), axis=1)
+    return _pow(oscillate(10.0 - best), 2) + boundary_penalty(x)
 
 
 def _f23_katsuura(p, x):
-    z = p["Q"] @ (p["lam100"] * (p["R"] @ (x - p["x_opt"])))
+    z = _matvec(p["Q"], p["lam100"] * _matvec(p["R"], x - p["x_opt"]))
     d = p["d"]
-    arr = p["two_pow"] * z[:, None]
-    terms = np.sum(np.abs(arr - np.round(arr)) / p["two_pow"], axis=1)
-    prod = float(np.prod(1.0 + np.arange(1, d + 1) * terms))
-    core = 10.0 / d**2 * prod ** (10.0 / d**1.2) - 10.0 / d**2
-    return float(core + boundary_penalty(x))
+    arr = p["two_pow"] * z[:, :, None]
+    terms = np.sum(np.abs(arr - np.round(arr)) / p["two_pow"], axis=2)
+    prod = np.prod(1.0 + np.arange(1, d + 1) * terms, axis=1)
+    core = 10.0 / d**2 * _pow(prod, 10.0 / d**1.2) - 10.0 / d**2
+    return core + boundary_penalty(x)
 
 
 def _f24_lunacek(p, x):
     d = p["d"]
     mu0 = 2.5
     x_hat = 2.0 * p["signs"] * x
-    z = p["Q"] @ (p["lam100"] * (p["R"] @ (x_hat - mu0)))
-    s1 = float(np.sum(np.square(x_hat - mu0)))
-    s2 = float(np.sum(np.square(x_hat - p["mu1"])))
-    core = min(s1, 1.0 * d + p["s_const"] * s2)
-    core += 10.0 * (d - float(np.sum(np.cos(2.0 * np.pi * z))))
-    return float(core + 1e4 * boundary_penalty(x))
+    z = _matvec(p["Q"], p["lam100"] * _matvec(p["R"], x_hat - mu0))
+    s1 = np.sum(np.square(x_hat - mu0), axis=1)
+    s2 = 1.0 * d + p["s_const"] * np.sum(np.square(x_hat - p["mu1"]), axis=1)
+    # min(s1, s2), keeping the first operand on ties.
+    core = np.where(s2 < s1, s2, s1)
+    core += 10.0 * (d - np.sum(np.cos(2.0 * np.pi * z), axis=1))
+    return core + 1e4 * boundary_penalty(x)
 
 
 EVALUATORS = {

@@ -61,23 +61,25 @@ def bbob_class(index: int) -> str:
 
 @dataclass
 class EvalCounter:
-    """Counts objective queries; repeat queries of one point stay memoized.
+    """Counts objective queries: every point, and every point not seen before.
 
-    distinct_queries <= total_queries always; both only grow.
+    A point is seen once its bit pattern has been evaluated on the same
+    instance through this counter.  distinct_queries <= total_queries
+    always; both only grow.
     """
 
     distinct_queries: int = 0
     total_queries: int = 0
-    _cache: dict = field(default_factory=dict, repr=False)
+    _seen: set = field(default_factory=set, repr=False)
 
-    def lookup(self, key) -> float | None:
-        return self._cache.get(key)
-
-    def record(self, key, value: float, fresh: bool) -> None:
-        self.total_queries += 1
-        if fresh:
-            self.distinct_queries += 1
-            self._cache[key] = value
+    def record(self, instance_key: tuple, rows: np.ndarray) -> None:
+        """Count the rows of a C-contiguous (n, d) batch of evaluated points."""
+        self.total_queries += len(rows)
+        data, width = rows.tobytes(), rows.shape[1] * rows.itemsize
+        fresh = {(instance_key, data[i : i + width]) for i in range(0, len(data), width)}
+        fresh -= self._seen
+        self._seen |= fresh
+        self.distinct_queries += len(fresh)
 
 
 @dataclass(eq=False)
@@ -106,7 +108,7 @@ class FunctionInstance:
     def cache_key(self) -> tuple:
         return (self.problem.suite.value, self.problem.index, self.dim, self.instance_seed)
 
-    def evaluate_raw(self, x: np.ndarray) -> float:
+    def evaluate_raw(self, x: np.ndarray) -> np.ndarray:
         if self.problem.suite is Suite.CONTINUOUS_BBOB:
             return bbob.EVALUATORS[self.problem.index](self.params, x) + self.f_offset
         return discrete.EVALUATORS[self.problem.index](x)
@@ -156,28 +158,24 @@ def make_instance(prob: ProblemId, d: int, instance_seed: int) -> FunctionInstan
 
 def evaluate(
     instance: FunctionInstance, x: np.ndarray, counter: EvalCounter | None = None
-) -> float:
-    """Evaluate the instance at ``x``, tracking queries on ``counter``.
+) -> float | np.ndarray:
+    """Evaluate the instance at a point, or at every row of a batch.
 
-    total_queries ticks on every call; distinct_queries only when this exact
-    bit pattern has not been evaluated on this instance via this counter.
+    ``x`` of shape (d,) gives a float; ``x`` of shape (n, d) gives the (n,)
+    float64 array of row values, each the bytes a (d,) call would give.  On
+    ``counter``, total_queries ticks once per row and distinct_queries once
+    per row bit pattern not yet evaluated on this instance via the counter.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.shape != (instance.dim,):
+    rows = x[None, :] if x.ndim == 1 else x
+    if rows.ndim != 2 or rows.shape[1] != instance.dim:
         raise SuiteError(
-            f"point of shape {x.shape} does not match instance dimension {instance.dim}"
+            f"points of shape {x.shape} do not match instance dimension {instance.dim}"
         )
-    if instance.problem.suite is Suite.DISCRETE_PB and not np.all((x == 0.0) | (x == 1.0)):
+    if instance.problem.suite is Suite.DISCRETE_PB and not np.all((rows == 0.0) | (rows == 1.0)):
         raise SuiteError("discrete suite inputs must be 0/1 vectors")
 
-    if counter is None:
-        return instance.evaluate_raw(x)
-
-    key = (instance.cache_key, x.tobytes())
-    cached = counter.lookup(key)
-    if cached is not None:
-        counter.record(key, cached, fresh=False)
-        return cached
-    value = instance.evaluate_raw(x)
-    counter.record(key, value, fresh=True)
-    return value
+    values = instance.evaluate_raw(rows)
+    if counter is not None:
+        counter.record(instance.cache_key, rows)
+    return float(values[0]) if x.ndim == 1 else values

@@ -3,7 +3,9 @@
 Six untransformed functions: OneMax, LeadingOnes, Linear, LABS, IsingRing
 and IsingTriangular.  Inputs are 0/1 vectors; values follow the usual
 maximization-style conventions (higher = more structure), which is all the
-identification task needs.
+identification task needs.  Each evaluator maps an (n, d) batch of 0/1 rows
+to the (n,) float64 values.  Every sum is of small integers, exact in float64
+in any order; LABS ends in one division.
 """
 
 from __future__ import annotations
@@ -23,47 +25,47 @@ FUNCTION_TABLE: dict[int, str] = {
 }
 
 
-def one_max(x: np.ndarray) -> float:
-    return float(np.sum(x))
+def one_max(x: np.ndarray) -> np.ndarray:
+    return np.sum(x, axis=1)
 
 
-def leading_ones(x: np.ndarray) -> float:
-    zeros = np.flatnonzero(x == 0)
-    return float(zeros[0]) if zeros.size else float(x.size)
+def leading_ones(x: np.ndarray) -> np.ndarray:
+    first_zero = np.argmin(x, axis=1).astype(np.float64)
+    return np.where(np.all(x == 1.0, axis=1), float(x.shape[1]), first_zero)
 
 
-def linear(x: np.ndarray) -> float:
+def linear(x: np.ndarray) -> np.ndarray:
     """Weighted counting with weights 1..d."""
-    return float(np.arange(1, x.size + 1) @ x)
+    return x @ np.arange(1.0, x.shape[1] + 1.0)
 
 
-def labs(x: np.ndarray) -> float:
+def labs(x: np.ndarray) -> np.ndarray:
     """Merit factor d^2 / (2E) of the +/-1 sequence, E the sidelobe energy."""
-    d = x.size
+    n, d = x.shape
     if d < 2:
-        return 0.0
+        return np.zeros(n)
     s = 2.0 * x - 1.0
-    energy = 0.0
+    energy = np.zeros(n)
     for k in range(1, d):
-        c_k = float(s[: d - k] @ s[k:])
+        c_k = np.sum(s[:, : d - k] * s[:, k:], axis=1)
         energy += c_k * c_k
     return d * d / (2.0 * energy)
 
 
-def ising_ring(x: np.ndarray) -> float:
+def ising_ring(x: np.ndarray) -> np.ndarray:
     """Number of agreeing neighbor pairs around the ring."""
-    neighbor = np.roll(x, -1)
-    return float(np.sum(x * neighbor + (1 - x) * (1 - neighbor)))
+    neighbor = np.roll(x, -1, axis=1)
+    return np.sum(x * neighbor + (1 - x) * (1 - neighbor), axis=1)
 
 
-def ising_triangular(x: np.ndarray) -> float:
+def ising_triangular(x: np.ndarray) -> np.ndarray:
     """Agreeing pairs on a periodic triangular lattice; d must be square."""
-    side = math.isqrt(x.size)
-    grid = x.reshape(side, side)
-    total = 0.0
+    side = math.isqrt(x.shape[1])
+    grid = x.reshape(-1, side, side)
+    total = np.zeros(len(x))
     for shift in ((1, 0), (0, 1), (1, 1)):
-        rolled = np.roll(grid, shift=(-shift[0], -shift[1]), axis=(0, 1))
-        total += float(np.sum(grid * rolled + (1 - grid) * (1 - rolled)))
+        rolled = np.roll(grid, shift=(-shift[0], -shift[1]), axis=(1, 2))
+        total += np.sum(grid * rolled + (1 - grid) * (1 - rolled), axis=(1, 2))
     return total
 
 

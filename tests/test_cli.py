@@ -1,0 +1,53 @@
+"""Tests of the command-line front end (``funcid.cli.main``)."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from funcid.cli import main
+from funcid.suite import Suite, evaluate, make_instance, problem
+
+
+class TestFuncsDump:
+    def test_dump_prints_the_evaluate_value(self, capsys):
+        code = main(
+            ["funcs", "dump", "--suite", "bbob", "--k", "15", "--dim", "3", "--seed", "7",
+             "--at", "0.1,0.2,0.3"]
+        )
+        out = capsys.readouterr().out.splitlines()
+        inst = make_instance(problem(Suite.CONTINUOUS_BBOB, 15), 3, 7)
+        value = evaluate(inst, np.array([0.1, 0.2, 0.3]))
+        assert code == 0
+        assert out[0] == "Rastrigin Rotated (k=15, d=3, seed=7)"
+        assert out[1] == f"f(0.1,0.2,0.3) = {value!r}"
+        assert out[2] == f"f_offset = {inst.f_offset!r}"
+
+    def test_dump_discrete_point(self, capsys):
+        code = main(["funcs", "dump", "--suite", "discrete", "--k", "3", "--dim", "4",
+                     "--at", "1,0,0,1"])
+        assert code == 0
+        assert "= 5.0" in capsys.readouterr().out
+
+    def test_wrong_length_point_exits_2(self, capsys):
+        code = main(["funcs", "dump", "--suite", "bbob", "--k", "1", "--dim", "3",
+                     "--at", "0.1,0.2"])
+        assert code == 2
+        assert "do not match instance dimension 3" in capsys.readouterr().err
+
+    def test_non_binary_discrete_point_exits_2(self, capsys):
+        code = main(["funcs", "dump", "--suite", "discrete", "--k", "1", "--dim", "3",
+                     "--at", "1,0.5,0"])
+        assert code == 2
+        assert "0/1" in capsys.readouterr().err
+
+    def test_missing_point_exits_2(self, capsys):
+        assert main(["funcs", "dump", "--k", "1", "--dim", "2"]) == 2
+        assert "--at" in capsys.readouterr().err
+
+
+class TestFuncsList:
+    def test_lists_suite_in_order(self, capsys):
+        assert main(["funcs", "list", "--suite", "discrete"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["1", "2", "3", "4", "5", "6"]
+        assert lines[0].split()[1] == "OneMax"

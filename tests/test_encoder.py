@@ -15,25 +15,92 @@ from funcid.encoder import (
     EncoderError,
     ImageType,
     PixelFinalize,
+    _probe_row_sequence,
     construct_image,
-    encode_type1,
-    encode_type2,
-    encode_type3,
-    encode_type4,
-    encode_type5,
+    display_vectors,
     finalize_pixels,
+    layout,
     probe_vectors,
     sample_points,
     type5_sample_count,
     write_pgm,
 )
-from funcid.suite import Suite, make_instance, problem
+from funcid.suite import Suite, evaluate, make_instance, problem
 
 BBOB = Suite.CONTINUOUS_BBOB
 
 
 def sphere(d=2, seed=7):
     return make_instance(problem(BBOB, 1), d, seed)
+
+
+def encode(samples, values, probe_values, cfg):
+    """``layout`` of the displayed rows, from sample values and per-probe values."""
+    shown = probe_values[_probe_row_sequence(cfg)]
+    if cfg.image_type is ImageType.TYPE5:
+        row_values = np.concatenate([shown, values])
+    else:
+        row_values = np.concatenate([values, shown])
+    return layout(display_vectors(samples, cfg), row_values, cfg)
+
+
+# -- layout reference: the per-row loop and the Type-5 stream loop ------------
+
+
+def _value_replicated_row(vec: np.ndarray, value: float, m: int) -> np.ndarray:
+    """[x, y, then y replicated out to width M]."""
+    row = np.empty(m)
+    row[: vec.size] = vec
+    row[vec.size :] = value
+    return row
+
+
+def _tiled_row(vec: np.ndarray, value: float, m: int) -> np.ndarray:
+    """tau repeated left-to-right, last copy truncated at width M."""
+    tau = np.append(vec, value)
+    reps = -(-m // tau.size)
+    return np.tile(tau, reps)[:m]
+
+
+def _frame(samples, values, probe_values, cfg, row_fn, probe_cycle: bool) -> np.ndarray:
+    m, d = cfg.frame_size, cfg.dim
+    probes = probe_vectors(d)
+    pixels = np.empty((m, m))
+    for j in range(min(len(samples), m)):
+        pixels[j] = row_fn(samples[j], values[j], m)
+    for j in range(len(samples), m):
+        idx = (j - len(samples)) % (d + 1) if probe_cycle else 0
+        pixels[j] = row_fn(probes[idx], probe_values[idx], m)
+    return pixels
+
+
+def _encode_type5_reference(samples, values, probe_values, cfg: EncoderConfig) -> np.ndarray:
+    """Flat stream tau(0), tau(e1), tau(x1), ... reshaped row-wise to M x M."""
+    m, d = cfg.frame_size, cfg.dim
+    probes = probe_vectors(d)
+    stream = np.empty(m * m)
+    pos = 0
+    vectors = [(probes[0], probe_values[0]), (probes[1], probe_values[1])] if d >= 1 else []
+    vectors += [(samples[j], values[j]) for j in range(len(samples))]
+    for vec, val in vectors:
+        if pos >= stream.size:
+            break
+        tau = np.append(vec, val)
+        take = min(tau.size, stream.size - pos)
+        stream[pos : pos + take] = tau[:take]
+        pos += take
+    if pos != stream.size:
+        raise EncoderError("Type-5 stream under-filled; not enough sample vectors")
+    return stream.reshape(m, m)
+
+
+def encode_reference(samples, values, probe_values, cfg):
+    t = cfg.image_type
+    if t is ImageType.TYPE5:
+        return _encode_type5_reference(samples, values, probe_values, cfg)
+    row_fn = _value_replicated_row if t in (ImageType.TYPE1, ImageType.TYPE3) else _tiled_row
+    probe_cycle = t in (ImageType.TYPE3, ImageType.TYPE4)
+    return _frame(samples, values, probe_values, cfg, row_fn, probe_cycle)
 
 
 # -- sampling ----------------------------------------------------------------
@@ -96,7 +163,7 @@ class TestLayouts:
         samples = np.array([[0.1, 0.2], [0.3, 0.4]])
         values = np.array([5.0, 7.0])
         probe_values = np.array([1.0, np.nan, np.nan])
-        pixels = encode_type1(samples, values, probe_values, cfg)
+        pixels = encode(samples, values, probe_values, cfg)
         expected = np.array(
             [
                 [0.1, 0.2, 5.0, 5.0],
@@ -124,7 +191,7 @@ class TestLayouts:
 
     def test_type2_row_tiling(self):
         cfg = EncoderConfig(dim=2, sample_size=1, image_type=2, frame_size=4)
-        pixels = encode_type2(
+        pixels = encode(
             np.array([[0.1, 0.2]]), np.array([5.0]), np.array([1.0, np.nan, np.nan]), cfg
         )
         assert np.allclose(pixels[0], [0.1, 0.2, 5.0, 0.1])
@@ -146,7 +213,7 @@ class TestLayouts:
     def test_type3_probe_cycle(self):
         cfg = EncoderConfig(dim=2, sample_size=1, image_type=3, frame_size=6)
         probe_values = np.array([1.0, 3.0, 4.0])
-        pixels = encode_type3(
+        pixels = encode(
             np.array([[0.5, 0.5]]), np.array([2.0]), probe_values, cfg
         )
         probes = probe_vectors(2)
@@ -170,7 +237,7 @@ class TestLayouts:
 
     def test_type4_probe_row_tiling(self):
         cfg = EncoderConfig(dim=2, sample_size=1, image_type=4, frame_size=4)
-        pixels = encode_type4(
+        pixels = encode(
             np.array([[0.5, 0.5]]), np.array([9.0]), np.array([1.0, 2.0, 3.0]), cfg
         )
         assert np.allclose(pixels[2], [1.0, 0.0, 2.0, 1.0])  # tau(e1) tiled
@@ -211,9 +278,53 @@ class TestLayouts:
     def test_encode_type5_underfill_rejected(self):
         cfg = EncoderConfig(dim=2, sample_size=1, image_type=5, frame_size=4)
         with pytest.raises(EncoderError):
-            encode_type5(
+            encode(
                 np.zeros((1, 2)), np.zeros(1), np.array([1.0, 2.0, np.nan]), cfg
             )
+
+
+# -- layout oracle: the array layouts against the per-row reference ------------
+
+# (type, d, N, M): N == M without probe rows, the Type-3/4 probe cycle
+# wrapping and truncated at d=30, M not a multiple of d+1, Type-5 at d=40,
+# at M=4 and with a stream that is exactly tau(0) or ends inside tau(e1).
+LAYOUT_EDGES = [
+    (1, 2, 4, 4), (2, 2, 4, 4), (3, 2, 4, 4), (4, 2, 4, 4), (1, 31, 32, 32), (2, 31, 32, 32),
+    (3, 30, 24, 32), (4, 30, 24, 32), (3, 2, 1, 6), (4, 2, 1, 6),
+    (1, 22, 24, 32), (2, 22, 24, 32), (3, 4, 3, 7), (4, 4, 3, 7), (2, 5, 2, 8),
+    (5, 40, 24, 32), (5, 2, 1, 4), (5, 22, 24, 32), (5, 3, 1, 2), (5, 4, 1, 3),
+]
+
+
+class TestLayoutOracle:
+    @pytest.mark.parametrize("t,d,n,m", LAYOUT_EDGES)
+    def test_image_matches_reference(self, t, d, n, m):
+        cfg = EncoderConfig(dim=d, sample_size=n, image_type=t, frame_size=m)
+        inst = make_instance(problem(BBOB, 15), d, 7)
+        n_samples = type5_sample_count(cfg) if t == 5 else n
+        samples = sample_points(d, n_samples, 5) if n_samples else np.zeros((0, d))
+        values = np.array([evaluate(inst, x) for x in samples])
+        probe_values = np.array([evaluate(inst, x) for x in probe_vectors(d)])
+        want = encode_reference(samples, values, probe_values, cfg).astype(np.float32)
+        assert np.array_equal(construct_image(inst, cfg, sample_seed=5).pixels, want)
+
+    @pytest.mark.parametrize("t,d,n,m", LAYOUT_EDGES)
+    def test_layout_matches_reference(self, t, d, n, m):
+        cfg = EncoderConfig(dim=d, sample_size=n, image_type=t, frame_size=m)
+        n_samples = type5_sample_count(cfg) if t == 5 else n
+        gen = np.random.default_rng(d * 100 + m)
+        samples = gen.standard_normal((n_samples, d))
+        values = gen.standard_normal(n_samples)
+        probe_values = gen.standard_normal(d + 1)
+        got = encode(samples, values, probe_values, cfg)
+        assert np.array_equal(got, encode_reference(samples, values, probe_values, cfg))
+
+    def test_type5_underfill_rejected_like_reference(self):
+        cfg = EncoderConfig(dim=2, sample_size=1, image_type=5, frame_size=4)
+        args = (np.zeros((1, 2)), np.zeros(1), np.array([1.0, 2.0, 3.0]), cfg)
+        for fn in (encode, encode_reference):
+            with pytest.raises(EncoderError, match="under-filled"):
+                fn(*args)
 
 
 # -- probe semantics -----------------------------------------------------------
@@ -342,7 +453,9 @@ class TestImageProperties:
     def test_value_beyond_float32_range_rejected(self, monkeypatch):
         import funcid.encoder
 
-        monkeypatch.setattr(funcid.encoder, "evaluate", lambda instance, x, counter: 1e39)
+        monkeypatch.setattr(
+            funcid.encoder, "evaluate", lambda instance, x, counter: np.full(len(x), 1e39)
+        )
         cfg = EncoderConfig(dim=2, sample_size=2, image_type=1, frame_size=4)
         with pytest.raises(EncoderError, match="non-finite"):
             construct_image(sphere(2), cfg, sample_seed=5)
