@@ -29,7 +29,7 @@ import numpy as np
 
 from . import rng
 from .encoder import EncoderConfig, ImageType, LandscapeImage, construct_image
-from .suite import EvalCounter, Suite, list_functions, make_instance, problem
+from .suite import EvalCounter, Suite, draw_rotations, list_functions, make_instance
 
 
 class Regime(enum.Enum):
@@ -263,35 +263,47 @@ def build_dataset(spec: DatasetSpec, jobs: int = 1) -> dict[str, Dataset]:
         "val": spec.per_class_val,
         "test": spec.per_class_test,
     }
+    # Per split, one (problem, instance seed, sample seed) task per image.
+    plans = {
+        split: [
+            (
+                prob,
+                _instance_for(spec, split, ell, train_seeds[prob.index], unseen_seeds[prob.index]),
+                rng.derive_seed(spec.master_seed, rng.SAMPLES, _SPLIT_TAGS[split], prob.index, ell),
+            )
+            for prob in list_functions(spec.suite)
+            for ell in range(per_class)
+        ]
+        for split, per_class in counts.items()
+    }
+    problems = {(prob.index, seed): prob for plan in plans.values() for prob, seed, _ in plan}
+    # Every rotation of the build is orthonormalized in one stack.
+    rotations = (
+        draw_rotations(problems, spec.dim) if spec.suite is Suite.CONTINUOUS_BBOB else {}
+    )
+    instances = {
+        key: make_instance(prob, spec.dim, key[1], rotations.get(key))
+        for key, prob in problems.items()
+    }
+
     out: dict[str, Dataset] = {}
-    instance_cache: dict[tuple, object] = {}
-    for split, per_class in counts.items():
+    for split, plan in plans.items():
         tag = _SPLIT_TAGS[split]
-        tasks = []
-        for prob in list_functions(spec.suite):
-            k = prob.index
-            for ell in range(per_class):
-                inst_seed = _instance_for(spec, split, ell, train_seeds[k], unseen_seeds[k])
-                sample_seed = rng.derive_seed(spec.master_seed, rng.SAMPLES, tag, k, ell)
-                key = (k, inst_seed)
-                if key not in instance_cache:
-                    instance_cache[key] = make_instance(prob, spec.dim, inst_seed)
-                tasks.append((key, inst_seed, sample_seed))
 
         def _make(task):
-            key, _inst_seed, sample_seed = task
-            return construct_image(instance_cache[key], spec.encoder, sample_seed)
+            prob, inst_seed, sample_seed = task
+            return construct_image(instances[prob.index, inst_seed], spec.encoder, sample_seed)
 
-        if jobs > 1 and tasks:
+        if jobs > 1 and plan:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
-                images = list(pool.map(_make, tasks))
+                images = list(pool.map(_make, plan))
         else:
-            images = [_make(t) for t in tasks]
+            images = [_make(t) for t in plan]
         labels = [img.label - 1 for img in images]
-        image_seeds = [t[1] for t in tasks]
+        image_seeds = [t[1] for t in plan]
 
-        images, labels, image_seeds = _shuffle_with_meta(
-            images, labels, image_seeds, rng.derive_seed(spec.master_seed, rng.SHUFFLE, tag)
+        images, labels, image_seeds = shuffle_sync(
+            images, labels, rng.derive_seed(spec.master_seed, rng.SHUFFLE, tag), image_seeds
         )
         manifest = DatasetManifest(
             spec=spec,
@@ -327,21 +339,14 @@ def _fisher_yates(n: int, seed: int) -> np.ndarray:
     return idx
 
 
-def shuffle_sync(images: list, labels: list, seed: int) -> tuple[list, list]:
-    """Permute images and labels by the same seeded Fisher-Yates pass."""
-    if len(images) != len(labels):
-        raise DatasetError(f"length mismatch: {len(images)} images vs {len(labels)} labels")
+def shuffle_sync(images: list, labels: list, seed: int, *parallel: list) -> tuple[list, ...]:
+    """Permute images, labels and any further parallel lists by one seeded
+    Fisher-Yates pass."""
+    lists = (images, labels, *parallel)
+    if len({len(x) for x in lists}) > 1:
+        raise DatasetError(f"length mismatch: lists of lengths {[len(x) for x in lists]}")
     idx = _fisher_yates(len(images), seed)
-    return [images[i] for i in idx], [labels[i] for i in idx]
-
-
-def _shuffle_with_meta(images, labels, image_seeds, seed):
-    idx = _fisher_yates(len(images), seed)
-    return (
-        [images[i] for i in idx],
-        [labels[i] for i in idx],
-        [image_seeds[i] for i in idx],
-    )
+    return tuple([x[i] for i in idx] for x in lists)
 
 
 def content_digest(images: list[LandscapeImage], labels: list[int]) -> str:

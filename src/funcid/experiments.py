@@ -75,6 +75,11 @@ class ExperimentPreset:
             raise ExperimentError(f"unknown preset {self.name!r}; choose from {PRESET_NAMES}")
         if self.scale not in ("desk", "paper"):
             raise ExperimentError(f"scale must be 'desk' or 'paper', got {self.scale!r}")
+        unknown = sorted(set(self.overrides) - OVERRIDE_KEYS)
+        if unknown:
+            raise ExperimentError(
+                f"unknown override(s) {unknown}; choose from {sorted(OVERRIDE_KEYS)}"
+            )
 
 
 # Training defaults per scale.  The desk settings replace the original
@@ -105,6 +110,12 @@ _TRAIN_DEFAULTS = {
 _DATA_DEFAULTS = {
     "desk": {"per_class_train": 200, "per_class_val": 0, "per_class_test": 50},
     "paper": {"per_class_train": 1001, "per_class_val": 501, "per_class_test": 498},
+}
+
+# Every key some preset reads from its overrides.
+OVERRIDE_KEYS = frozenset(_TRAIN_DEFAULTS["desk"]) | frozenset(_DATA_DEFAULTS["desk"]) | {
+    "dim", "dims", "domain", "instances", "n", "n_values", "runs",
+    "uniform_lo", "uniform_hi", "unseen_instances",
 }
 
 

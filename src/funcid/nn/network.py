@@ -213,6 +213,23 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy of integer ``labels`` under ``logits``.
+
+    Returns the loss as a float and its gradient with respect to the logits.
+    Every loss and gradient of training and evaluation comes from here, so
+    they all share one expression order.
+    """
+    b = len(labels)
+    z = logits - logits.max(axis=1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    loss = float(-log_probs[np.arange(b), labels].mean())
+    dlogits = np.exp(log_probs)
+    dlogits[np.arange(b), labels] -= 1.0
+    dlogits /= b
+    return loss, dlogits
+
+
 def loss_and_grads(model: Network, batch: np.ndarray, labels: np.ndarray):
     """Mean softmax cross-entropy and gradients for every parameter.
 
@@ -224,13 +241,7 @@ def loss_and_grads(model: Network, batch: np.ndarray, labels: np.ndarray):
         raise ModelError(f"labels outside [0, {model.meta.class_count})")
     x = model.apply_input_norm(batch)
     logits, caches = model.forward_normalized(x, want_caches=True)
-    b = logits.shape[0]
-    z = logits - logits.max(axis=1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    loss = float(-log_probs[np.arange(b), labels].mean())
-    dlogits = np.exp(log_probs)
-    dlogits[np.arange(b), labels] -= 1.0
-    dlogits /= b
+    loss, dlogits = cross_entropy(logits, labels)
     grads = model.backward(dlogits.astype(logits.dtype), caches)
     return loss, grads
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import rng
-from .network import Network, loss_and_grads, predict_logits
+from .network import Network, cross_entropy, predict_logits
 
 
 class TrainingDivergedError(RuntimeError):
@@ -73,12 +73,12 @@ def _as_arrays(data) -> tuple[np.ndarray, np.ndarray]:
 
 def evaluate_loss(model: Network, pixels: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     """Mean cross-entropy and accuracy over a full split."""
-    logits = predict_logits(model, pixels)
-    z = logits - logits.max(axis=1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    loss = float(-log_probs[np.arange(len(labels)), labels].mean())
-    acc = float((logits.argmax(axis=1) == labels).mean())
-    return loss, acc
+    return _loss_and_accuracy(predict_logits(model, pixels), labels)
+
+
+def _loss_and_accuracy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+    loss, _ = cross_entropy(logits, labels)
+    return loss, float((logits.argmax(axis=1) == labels).mean())
 
 
 def train(model: Network, train_data, val_data, cfg: TrainConfig) -> tuple[Network, TrainReport]:
@@ -117,9 +117,7 @@ def train(model: Network, train_data, val_data, cfg: TrainConfig) -> tuple[Netwo
             sel = order[start : start + cfg.batch_size]
             xb, yb = x_all[sel], y_all[sel]
             logits, caches = model.forward_normalized(xb, want_caches=True)
-            z = logits - logits.max(axis=1, keepdims=True)
-            log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-            batch_loss = float(-log_probs[np.arange(len(yb)), yb].mean())
+            batch_loss, dlogits = cross_entropy(logits, yb)
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
@@ -127,10 +125,6 @@ def train(model: Network, train_data, val_data, cfg: TrainConfig) -> tuple[Netwo
                 )
             epoch_loss += batch_loss * len(yb)
             epoch_hits += int((logits.argmax(axis=1) == yb).sum())
-
-            dlogits = np.exp(log_probs)
-            dlogits[np.arange(len(yb)), yb] -= 1.0
-            dlogits /= len(yb)
             grads = model.backward(dlogits.astype(logits.dtype), caches)
             stepper(grads)
 
@@ -212,9 +206,4 @@ def _eval_normalized(model: Network, x_norm: np.ndarray, labels: np.ndarray) -> 
     chunks = [
         model.forward_normalized(x_norm[i : i + 256]) for i in range(0, len(x_norm), 256)
     ]
-    logits = np.concatenate(chunks)
-    z = logits - logits.max(axis=1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    loss = float(-log_probs[np.arange(len(labels)), labels].mean())
-    acc = float((logits.argmax(axis=1) == labels).mean())
-    return loss, acc
+    return _loss_and_accuracy(np.concatenate(chunks), labels)

@@ -12,7 +12,7 @@ from .core import (
     make_instance,
     problem,
 )
-from .bbob import random_orthogonal
+from .bbob import draw_rotations, random_orthogonal
 
 __all__ = [
     "EvalCounter",
@@ -21,6 +21,7 @@ __all__ = [
     "Suite",
     "SuiteError",
     "bbob_class",
+    "draw_rotations",
     "evaluate",
     "list_functions",
     "make_instance",

@@ -21,6 +21,15 @@ guarantees this is pinned, because the dataset digests depend on it:
 * the final scalar powers of f6, f16, f17/f18, f21/f22 and f23 are Python
   float powers (libm ``pow``, ``_pow``): ``np.power`` on an array may use a
   vectorized pow that rounds differently.
+
+The R/Q rotations are orthonormalized the same way: ``_gram_schmidt`` runs
+modified Gram-Schmidt over a (B, d, d) stack, and each matrix gets the
+bytes it gets alone, so ``build_dataset`` draws every rotation it needs in
+one stack (``draw_rotations``).  Per column j and matrix b, in this order:
+the norm is ``sqrt`` of one contiguous dot of a copy of the column; the
+column is divided by it; each later column's coefficient is one strided dot
+of two columns (one ``matmul`` over the stack, never a gemv or a
+contiguous-row layout); the product ``r * v`` is formed, then subtracted.
 """
 
 from __future__ import annotations
@@ -76,51 +85,97 @@ _SCHWEFEL_C = _SCHWEFEL_Z * math.sin(math.sqrt(_SCHWEFEL_Z)) / 100.0
 
 
 def random_orthogonal(d: int, generator: np.random.Generator) -> np.ndarray:
-    """Draw a Haar-uniform orthogonal matrix via Gram-Schmidt.
+    """Draw a Haar-uniform orthogonal matrix via Gram-Schmidt."""
+    return random_orthogonals(d, [generator])[0]
 
-    Gaussian columns are orthonormalized with modified Gram-Schmidt; a
-    second pass (for d > 1) keeps ||Q^T Q - I||_inf well below 1e-9 for d
-    up to 64.  A rank-deficient draw is rejected and redrawn.
+
+def random_orthogonals(d: int, generators) -> np.ndarray:
+    """Draw one Haar-uniform orthogonal matrix from each generator, stacked.
+
+    Each generator's Gaussian (d, d) draw is orthonormalized with modified
+    Gram-Schmidt; a second pass (for d > 1) keeps ||Q^T Q - I||_inf well
+    below 1e-9 for d up to 64.  All draws share the two passes.  A
+    rank-deficient draw is rejected and redrawn from its own generator, so
+    every matrix is the one a draw-and-retry loop over that generator alone
+    would give.
     """
-    while True:
-        q = _gram_schmidt(generator.standard_normal((d, d)))
-        if q is not None and d > 1:
-            q = _gram_schmidt(q)
-        if q is not None:
-            return q
+    generators = list(generators)
+    out = np.empty((len(generators), d, d))
+    todo = np.arange(len(generators))
+    while len(todo):
+        q = np.stack([generators[i].standard_normal((d, d)) for i in todo])
+        ok = _gram_schmidt(q)
+        if d > 1:
+            ok &= _gram_schmidt(q)
+        out[todo[ok]] = q[ok]
+        todo = todo[~ok]
+    return out
 
 
-def _gram_schmidt(a: np.ndarray) -> np.ndarray | None:
-    """Orthonormalize the columns of ``a``; ``None`` if one norm is < 1e-9.
+def draw_rotations(keys, d: int) -> dict:
+    """The (R | None, Q | None) rotations of each (k, instance seed) in ``keys``.
+
+    Function k uses ``_N_ROTATIONS[k]`` of them; seed 0 gets identities.
+    Every other matrix comes from its own ``ROTATION_R``/``ROTATION_Q``
+    substream of the seed, one substream per matrix, and all of them are
+    orthonormalized in one stack.
+    """
+    pairs = {key: [None, None] for key in keys}
+    drawn, generators = [], []
+    for (k, seed), pair in pairs.items():
+        for i, tag in enumerate((rng.ROTATION_R, rng.ROTATION_Q)[: _N_ROTATIONS[k]]):
+            if seed == 0:
+                pair[i] = np.eye(d)
+            else:
+                drawn.append((pair, i))
+                generators.append(rng.substream(seed, tag))
+    # Each instance owns its matrices rather than views into the stack.
+    for (pair, i), m in zip(drawn, random_orthogonals(d, generators)):
+        pair[i] = m.copy()
+    return {key: tuple(pair) for key, pair in pairs.items()}
+
+
+def _gram_schmidt(q: np.ndarray) -> np.ndarray:
+    """Orthonormalize the columns of each matrix of a (B, d, d) stack in place.
+
+    ``q`` must be C-contiguous float64.  Returns the (B,) mask of matrices
+    whose column norms all reached 1e-9; a flagged matrix's short column is
+    divided by 1.0 instead, so the stack raises no warnings, and its result
+    is meaningless.
 
     Right-looking modified Gram-Schmidt.  Once column j is normalized, its
     projection is removed from every later column i at once, so column i
     still receives the projections of columns 0..i-1 in ascending order,
-    each against its updated self.  The operation order is pinned, because
-    every rotation matrix, and so every dataset digest, depends on its
-    bytes:
+    each against its updated self.  Every step runs over the whole stack but
+    treats each matrix as it would treat it alone.  The operation order is
+    pinned, because every rotation matrix, and so every dataset digest,
+    depends on its bytes:
 
-    * the norm is ``math.sqrt(c @ c)`` of a contiguous copy ``c`` of the
-      column: the contiguous dot ``np.linalg.norm`` takes, without its
-      checks and ravel;
-    * each coefficient is one strided vector-vector dot of two columns.  The
-      stacked ``matmul`` below makes one such dot per later column.  The
-      gemv form ``q[:, j] @ q[:, j+1:]``, or any contiguous-row layout,
-      sums in another order and changes the result;
-    * the multiply ``r * q_j`` and the subtraction stay separate steps.
+    * the norm is the square root of one contiguous dot per matrix,
+      ``c[b] @ c[b]``, on a contiguous copy ``c`` of the column (the dot
+      ``np.linalg.norm`` takes, without its checks); an ``einsum`` or
+      ``np.sum(c * c)`` norm sums in another order;
+    * each coefficient is one strided vector-vector dot of two columns of
+      one matrix.  The stacked ``matmul`` of ``qt[:, j+1:, None, :]`` with
+      ``v[:, None, :, None]`` makes one such dot per matrix and later
+      column.  The gemv form ``v @ q[:, :, j+1:]``, or any contiguous-row
+      layout, sums in another order and changes the result;
+    * the multiply ``r * v`` and the subtraction stay separate steps.
     """
-    q = np.array(a, dtype=np.float64, copy=True)
-    qt = q.T
-    for j in range(q.shape[1]):
-        v = q[:, j]
+    d = q.shape[-1]
+    ok = np.ones(len(q), dtype=bool)
+    qt = q.transpose(0, 2, 1)
+    for j in range(d):
+        v = q[:, :, j]
         c = v.copy()
-        norm = math.sqrt(c @ c)
-        if norm < 1e-9:
-            return None
-        v /= norm
-        r = np.matmul(qt[j + 1:, None, :], v[:, None])
-        q[:, j + 1:] -= r[:, 0, 0] * v[:, None]
-    return q
+        norm = np.sqrt(np.matmul(c[:, None, :], c[:, :, None])[:, 0, 0])
+        short = norm < 1e-9
+        ok &= ~short
+        norm[short] = 1.0
+        v /= norm[:, None]
+        r = np.matmul(qt[:, j + 1:, None, :], v[:, None, :, None])
+        q[:, :, j + 1:] -= r[:, :, 0, 0][:, None, :] * v[:, :, None]
+    return ok
 
 
 def _lin(d: int) -> np.ndarray:
@@ -155,34 +210,23 @@ def boundary_penalty(x: np.ndarray) -> np.ndarray:
     return np.sum(np.square(np.maximum(0.0, np.abs(x) - 5.0)), axis=1)
 
 
-def build_params(k: int, d: int, instance_seed: int) -> dict:
-    """Draw the instance transforms of function ``k`` at dimension ``d``.
+def build_params(k: int, d: int, instance_seed: int, rotations: tuple) -> dict:
+    """The instance transforms of function ``k`` at dimension ``d``.
 
-    Seed 0 is the identity instance: zero translation and identity
-    rotations (the output offset is still drawn from its own stream).
-    Everything else pulls from per-purpose substreams of the seed, so the
-    result is reproducible field by field.
+    ``rotations`` is the instance's (R | None, Q | None) pair from
+    ``draw_rotations``.  Seed 0 is the identity instance: zero translation
+    and identity rotations (the output offset is still drawn from its own
+    stream).  Everything else pulls from per-purpose substreams of the seed,
+    so the result is reproducible field by field.
     """
-    identity = instance_seed == 0
     lin = _lin(d)
 
-    if identity:
+    if instance_seed == 0:
         t_raw = np.zeros(d)
     else:
         t_raw = substream_uniform(instance_seed, rng.TRANSLATION, d, -4.0, 4.0)
 
-    n_rot = _N_ROTATIONS[k]
-    if identity or n_rot == 0:
-        r_mat = np.eye(d) if n_rot >= 1 else None
-        q_mat = np.eye(d) if n_rot >= 2 else None
-    else:
-        r_mat = random_orthogonal(d, rng.substream(instance_seed, rng.ROTATION_R))
-        q_mat = (
-            random_orthogonal(d, rng.substream(instance_seed, rng.ROTATION_Q))
-            if n_rot >= 2
-            else None
-        )
-
+    r_mat, q_mat = rotations
     offset_stream = rng.substream(instance_seed, rng.F_OFFSET)
     f_offset = round(float(offset_stream.uniform(-100.0, 100.0)), 2)
 

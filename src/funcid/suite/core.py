@@ -114,22 +114,34 @@ class FunctionInstance:
         return discrete.EVALUATORS[self.problem.index](x)
 
 
-def make_instance(prob: ProblemId, d: int, instance_seed: int) -> FunctionInstance:
+def make_instance(
+    prob: ProblemId, d: int, instance_seed: int, rotations: tuple | None = None
+) -> FunctionInstance:
     """Build the deterministic instance for (problem, d, seed).
 
     Continuous: translation/rotations/offset come from per-purpose
     substreams of the seed; seed 0 forces the identity transforms (zero
     translation, identity rotations) with the offset still drawn.
-    Discrete: d is the bitstring length (capped at 64).
+    ``rotations``, when given, is the instance's (R | None, Q | None) pair
+    as ``bbob.draw_rotations`` returns it, so a caller can draw many
+    instances' rotations in one stack; otherwise they are drawn here.  A
+    pair that does not fit the function raises ``SuiteError``.
+    Discrete: d is the bitstring length (capped at 64); a discrete problem
+    takes no rotations.
     """
     if not isinstance(prob, ProblemId):
         raise SuiteError(f"expected ProblemId, got {type(prob).__name__}")
     _table_for(prob.suite)  # validates suite
+    if rotations is not None:
+        _check_rotations(prob, d, rotations)
 
     if prob.suite is Suite.CONTINUOUS_BBOB:
         if d < 2:
             raise SuiteError(f"continuous suite needs d >= 2, got {d}")
-        params = bbob.build_params(prob.index, d, instance_seed)
+        if rotations is None:
+            key = (prob.index, instance_seed)
+            rotations = bbob.draw_rotations([key], d)[key]
+        params = bbob.build_params(prob.index, d, instance_seed, rotations)
         rotations = tuple(m for m in (params["R"], params["Q"]) if m is not None)
         return FunctionInstance(
             problem=prob,
@@ -154,6 +166,31 @@ def make_instance(prob: ProblemId, d: int, instance_seed: int) -> FunctionInstan
         f_offset=0.0,
         params={},
     )
+
+
+def _check_rotations(prob: ProblemId, d: int, rotations) -> None:
+    """Reject an (R, Q) pair that does not fit the problem at dimension d.
+
+    Each matrix the function uses must be a C-contiguous float64 (d, d)
+    array, the layout the evaluators' pinned gemv order assumes; the others
+    must be None.
+    """
+    n_rot = bbob._N_ROTATIONS[prob.index] if prob.suite is Suite.CONTINUOUS_BBOB else 0
+    if not isinstance(rotations, tuple) or len(rotations) != 2:
+        raise SuiteError("rotations must be an (R | None, Q | None) pair")
+    present = [m is not None for m in rotations]
+    if present != [i < n_rot for i in range(2)]:
+        raise SuiteError(
+            f"{prob.display_name} takes {n_rot} rotation(s), got {sum(present)}"
+        )
+    for m in rotations[:n_rot]:
+        if not (
+            isinstance(m, np.ndarray)
+            and m.dtype == np.float64
+            and m.shape == (d, d)
+            and m.flags.c_contiguous
+        ):
+            raise SuiteError(f"each rotation must be a C-contiguous float64 ({d}, {d}) array")
 
 
 def evaluate(

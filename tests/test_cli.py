@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 
 from funcid.cli import main
@@ -51,3 +54,38 @@ class TestFuncsList:
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in lines] == ["1", "2", "3", "4", "5", "6"]
         assert lines[0].split()[1] == "OneMax"
+
+
+# A tiny UnseenL3Noisy run: one image per class and split, one epoch.
+TINY_L3 = ["--set", "per_class_train=1", "--set", "per_class_test=1", "--set", "epochs=1",
+           "--jobs", "1"]
+
+
+class TestExperiment:
+    def _run_manifest(self, root, capsys) -> dict:
+        code = main(["experiment", "UnseenL3Noisy", "--out", str(root), "--seed", "3", *TINY_L3])
+        out = capsys.readouterr().out
+        assert code == 0
+        (line,) = [ln for ln in out.splitlines() if ln.startswith("run dir: ")]
+        run_dir = Path(line[len("run dir: "):])
+        assert run_dir.parent == root
+        return json.loads((run_dir / "run_manifest.json").read_text(encoding="utf-8"))
+
+    def test_one_seed_reproduces_artifact_digests(self, tmp_path, capsys):
+        first = self._run_manifest(tmp_path / "a", capsys)
+        second = self._run_manifest(tmp_path / "b", capsys)
+        assert sorted(first["artifacts"]) == [
+            "breakdown_l3_clean.csv",
+            "breakdown_l3_noisy.csv",
+            "model_l3.lmdl",
+            "results.json",
+            "train_report_l3.csv",
+        ]
+        assert first["artifacts"] == second["artifacts"]
+
+    def test_unknown_override_exits_2(self, tmp_path, capsys):
+        code = main(["experiment", "UnseenL3Noisy", "--out", str(tmp_path),
+                     "--set", "epoch=1"])
+        assert code == 2
+        assert "unknown override(s) ['epoch']" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

@@ -372,6 +372,19 @@ class TestReferenceOracles:
         for key in ref_grads:
             assert_same_bytes(grads[key], ref_grads[key])
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_evaluate_loss(self, dtype):
+        model = init_model("perceptron3", 5, 8, seed=3, dtype=dtype)
+        gen = np.random.default_rng(5)
+        x = gen.random((300, 8, 8)).astype(np.float32)
+        y = gen.integers(0, 5, 300)
+        logits = predict_logits(model, x)
+        z = logits - logits.max(axis=1, keepdims=True)
+        log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        ref_loss = float(-log_probs[np.arange(len(y)), y].mean())
+        ref_acc = float((logits.argmax(axis=1) == y).mean())
+        assert evaluate_loss(model, x, y) == (ref_loss, ref_acc)
+
     @pytest.mark.parametrize(
         "preset,frame,dtype",
         [("perceptron3", 8, "float32"), ("lenet5", 16, "float32"), ("lenet5", 16, "float64")],

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,13 +21,14 @@ from funcid.suite import (
     problem,
     random_orthogonal,
 )
-from funcid.suite.bbob import _gram_schmidt
+from funcid.suite.bbob import _gram_schmidt, draw_rotations, random_orthogonals
 
 BBOB = Suite.CONTINUOUS_BBOB
 PB = Suite.DISCRETE_PB
 
 ORACLE_DIMS = [2, 3, 4, 5, 7, 8, 16, 22, 31, 40, 64]
 ORACLE_SEEDS = [1, 2, 17, 99, 2**62 + 11]
+STACK_SIZES = [1, 2, 5, 26]
 
 
 def _gram_schmidt_reference(a: np.ndarray | None) -> np.ndarray | None:
@@ -110,11 +113,20 @@ class TestMakeInstance:
 
     @pytest.mark.parametrize("d", ORACLE_DIMS)
     def test_gram_schmidt_matches_reference_bytes(self, d):
+        # Slice b of a stack holds draw b of a seed, so draw 0 sits in
+        # stacks of every size and each later draw in the larger ones.
         for seed in ORACLE_SEEDS:
-            a = rng.substream(seed, rng.ROTATION_R, d).standard_normal((d, d))
-            before = a.copy()
-            assert np.array_equal(_gram_schmidt(a), _gram_schmidt_reference(a))
-            assert np.array_equal(a, before)
+            draws = [
+                rng.substream(seed, rng.ROTATION_R, d, b).standard_normal((d, d))
+                for b in range(max(STACK_SIZES))
+            ]
+            wants = [_gram_schmidt_reference(a) for a in draws]
+            for size in STACK_SIZES:
+                q = np.stack(draws[:size])
+                ok = _gram_schmidt(q)
+                assert ok.shape == (size,) and ok.all()
+                for b in range(size):
+                    assert np.array_equal(q[b], wants[b]), (seed, size, b)
 
     @pytest.mark.parametrize("d", [1] + ORACLE_DIMS)
     def test_random_orthogonal_matches_reference_bytes(self, d):
@@ -127,15 +139,118 @@ class TestMakeInstance:
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("d", [2, 5, 22])
-    def test_gram_schmidt_rank_deficient_is_none(self, d):
-        a = rng.substream(5, rng.ROTATION_R, d).standard_normal((d, d))
-        duplicated = a.copy()
-        duplicated[:, -1] = duplicated[:, 0]
-        zero = a.copy()
-        zero[:, d // 2] = 0.0
-        for bad in (duplicated, zero):
-            assert _gram_schmidt_reference(bad) is None
-            assert _gram_schmidt(bad) is None
+    def test_gram_schmidt_rank_deficient_is_flagged(self, d):
+        draws = [rng.substream(5, rng.ROTATION_R, d, b).standard_normal((d, d)) for b in range(5)]
+        draws[1][:, -1] = draws[1][:, 0]
+        draws[3][:, d // 2] = 0.0
+        assert _gram_schmidt_reference(draws[1]) is None
+        assert _gram_schmidt_reference(draws[3]) is None
+        q = np.stack(draws)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ok = _gram_schmidt(q)
+        assert ok.tolist() == [True, False, True, False, True]
+        for b in (0, 2, 4):
+            assert np.array_equal(q[b], _gram_schmidt_reference(draws[b]))
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 22])
+    def test_random_orthogonals_match_one_at_a_time(self, d):
+        seeds = [1, 17, 2**62 + 11, 99, 3]
+        got = random_orthogonals(d, [rng.substream(s, rng.ROTATION_Q) for s in seeds])
+        assert got.shape == (len(seeds), d, d)
+        for s, m in zip(seeds, got):
+            assert np.array_equal(m, random_orthogonal(d, rng.substream(s, rng.ROTATION_Q)))
+
+    def test_random_orthogonals_redraws_from_the_flagged_generator(self):
+        d = 4
+
+        class Scripted:
+            """Hands out its draws in order, counting them."""
+
+            def __init__(self, draws):
+                self.draws, self.taken = draws, 0
+
+            def standard_normal(self, shape):
+                self.taken += 1
+                return self.draws[self.taken - 1].copy()
+
+        g = [rng.substream(s, rng.ROTATION_R).standard_normal((3, d, d)) for s in (1, 2, 3)]
+        g[1][0][:, 1] = 0.0  # the second generator's first draw is rank-deficient
+        gens = [Scripted(draws) for draws in g]
+        got = random_orthogonals(d, gens)
+        assert [gen.taken for gen in gens] == [1, 2, 1]
+        for m, want in zip(got, (g[0][0], g[1][1], g[2][0])):
+            assert np.array_equal(m, _gram_schmidt_reference(_gram_schmidt_reference(want)))
+
+    @pytest.mark.parametrize("d", [2, 5, 22])
+    def test_draw_rotations_match_per_key_draws(self, d, monkeypatch):
+        keys = [(1, 7), (9, 7), (15, 7), (15, 0), (9, 0), (21, 2**62 + 11), (24, 99), (15, 7)]
+        calls = []
+        substream = rng.substream
+        monkeypatch.setattr(rng, "substream", lambda *a: calls.append(a) or substream(*a))
+        got = draw_rotations(keys, d)
+        monkeypatch.undo()
+        assert list(got) == list(dict.fromkeys(keys))
+        assert sorted(calls) == sorted(
+            [(7, rng.ROTATION_R), (7, rng.ROTATION_R), (7, rng.ROTATION_Q),
+             (2**62 + 11, rng.ROTATION_R), (99, rng.ROTATION_R), (99, rng.ROTATION_Q)]
+        )
+        assert got[1, 7] == (None, None)
+        assert got[9, 0][1] is None and np.array_equal(got[9, 0][0], np.eye(d))
+        assert all(np.array_equal(m, np.eye(d)) for m in got[15, 0])
+        for (k, seed), pair in got.items():
+            if seed == 0:
+                continue
+            for m, tag in zip(pair, (rng.ROTATION_R, rng.ROTATION_Q)):
+                if m is not None:
+                    want = random_orthogonal(d, rng.substream(seed, tag))
+                    assert np.array_equal(m, want) and m.flags.c_contiguous
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**62 + 11])
+    def test_supplied_rotations_give_the_same_instance(self, seed):
+        d = 6
+        keys = [(k, seed) for k in range(1, 25)]
+        rotations = draw_rotations(keys, d)
+        for k, _ in keys:
+            alone = make_instance(problem(BBOB, k), d, seed)
+            given = make_instance(problem(BBOB, k), d, seed, rotations[k, seed])
+            assert len(alone.rotations) == len(given.rotations)
+            for a, b in zip(alone.rotations, given.rotations):
+                assert np.array_equal(a, b)
+            for name in ("R", "Q", "x_opt", "centers"):
+                a, b = alone.params.get(name), given.params.get(name)
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert a.tobytes() == b.tobytes()
+            x = rng.substream(seed, rng.SAMPLES, k).random((4, d))
+            assert evaluate(alone, x).tobytes() == evaluate(given, x).tobytes()
+
+    @pytest.mark.parametrize(
+        "k, rotations",
+        [
+            (1, (np.eye(3), None)),
+            (9, (None, None)),
+            (9, (np.eye(3), np.eye(3))),
+            (15, (np.eye(3), None)),
+            (15, (None, np.eye(3))),
+            (15, (np.eye(3),)),
+            (15, [np.eye(3), np.eye(3)]),
+            (9, (np.eye(4), None)),
+            (9, (np.eye(3)[0], None)),
+            (9, (np.eye(3, dtype=np.float32), None)),
+            (9, (np.eye(3).tolist(), None)),
+            (9, (np.asfortranarray(np.arange(9.0).reshape(3, 3)), None)),
+        ],
+    )
+    def test_bad_supplied_rotations_rejected(self, k, rotations):
+        with pytest.raises(SuiteError):
+            make_instance(problem(BBOB, k), 3, 7, rotations)
+
+    def test_discrete_takes_no_rotations(self):
+        make_instance(problem(PB, 1), 9, 0, (None, None))
+        for rotations in ((np.eye(9), None), (None, np.eye(9))):
+            with pytest.raises(SuiteError):
+                make_instance(problem(PB, 1), 9, 0, rotations)
 
     def test_bit_identical_rebuild(self):
         a = make_instance(problem(BBOB, 15), 22, 99)
