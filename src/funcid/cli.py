@@ -1,8 +1,12 @@
 """Command-line front end: funcs dump, generate, train, eval, experiment.
 
-Every flag can also come from a JSON config file (``--config``); explicit
-flags win.  Exit codes: 0 success, 2 configuration/usage error, 1 runtime
-failure.
+Each flag's default is declared once, on the flag.  A JSON config file
+(``--config``) replaces those defaults, so a value comes from, in order of
+precedence: the flag on the command line, then the config file, then the
+flag's default.  Config keys are the flags' destination names (``per_class``
+for ``--per-class``).  A key that no flag of the subcommand reads is an error,
+and so is a value that the flag would reject on the command line.
+Exit codes: 0 success, 2 configuration/usage error, 1 runtime failure.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .experiments import (
     ExperimentError,
     ExperimentPreset,
     PRESET_NAMES,
-    default_output_root,
     run_preset,
 )
 from .metrics import MetricsError, accuracy, confusion, emit_breakdown
@@ -54,34 +57,53 @@ class CliError(ValueError):
     pass
 
 
-def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> argparse.Namespace:
-    """Fill unset flags from the JSON config file, then from defaults."""
-    config = {}
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise CliError(f"config file not found: {path}")
-        config = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(config, dict):
-            raise CliError("config file must hold a JSON object of flag values")
-    for key, default in parser_defaults.items():
-        if getattr(args, key, None) is None:
-            value = config.get(key, default)
-            setattr(args, key, value)
-    return args
+def _config_value(flag: argparse.Action, key: str, value):
+    """A config value, checked and converted as the flag's own argument would be."""
+    if flag.type is not None:
+        try:
+            value = flag.type(str(value))
+        except ValueError:
+            raise CliError(f"config {key}={value!r} is not a valid {flag.type.__name__}") from None
+    elif isinstance(flag.default, bool):
+        if not isinstance(value, bool):
+            raise CliError(f"config {key}={value!r} must be true or false")
+    elif isinstance(flag.default, list):
+        if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+            raise CliError(f"config {key}={value!r} must be a list of strings")
+    elif not isinstance(value, str):
+        raise CliError(f"config {key}={value!r} must be a string")
+    if flag.choices is not None and value not in flag.choices:
+        raise CliError(f"config {key}={value!r} is not one of {list(flag.choices)}")
+    return value
+
+
+def _apply_config(parser: argparse.ArgumentParser, argv, args) -> argparse.Namespace:
+    """Re-parse argv with the config file's values as the subcommand's defaults."""
+    path = Path(args.config)
+    if not path.exists():
+        raise CliError(f"config file not found: {path}")
+    config = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(config, dict):
+        raise CliError("config file must hold a JSON object of flag values")
+    sub = args.sub
+    flags = {a.dest: a for a in sub._actions if a.option_strings}
+    del flags["help"], flags["config"]
+    unknown = sorted(set(config) - set(flags))
+    if unknown:
+        raise CliError(f"unknown config key(s) {unknown}; {sub.prog} reads {sorted(flags)}")
+    sub.set_defaults(**{key: _config_value(flags[key], key, v) for key, v in config.items()})
+    return parser.parse_args(argv)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON file of flag defaults (flags override)")
-    sub.add_argument("--seed", type=int, default=None, help="master seed")
+    sub.add_argument("--seed", type=int, default=0, help="master seed")
 
 
 # -- funcs dump --------------------------------------------------------------
 
 
 def _cmd_funcs_dump(args) -> int:
-    defaults = {"suite": "bbob", "k": 1, "dim": 2, "seed": 0, "at": None}
-    args = _merge_config(args, defaults)
     prob = problem(_SUITES[args.suite], args.k)
     inst = make_instance(prob, args.dim, args.seed)
     if args.at is None:
@@ -104,28 +126,6 @@ def _cmd_funcs_list(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    defaults = {
-        "suite": "bbob",
-        "dim": 22,
-        "n": 24,
-        "type": 1,
-        "frame": 32,
-        "domain": "unit_cube",
-        "regime": "L1",
-        "per_class": 200,
-        "per_class_val": 0,
-        "per_class_test": 50,
-        "instances": 1,
-        "unseen_instances": 0,
-        "noise": "none",
-        "uniform_lo": -2.5,
-        "uniform_hi": 2.5,
-        "seed": 0,
-        "jobs": 1,
-        "out": "dataset",
-        "export_png": False,
-    }
-    args = _merge_config(args, defaults)
     spec = DatasetSpec(
         suite=_SUITES[args.suite],
         dim=args.dim,
@@ -173,22 +173,6 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    defaults = {
-        "data": None,
-        "val": None,
-        "preset": "perceptron3",
-        "lr": 1e-3,
-        "epochs": 100,
-        "batch_size": 64,
-        "momentum": 0.0,
-        "optimizer": "adam",
-        "activation": "relu",
-        "input_norm": "minmax",
-        "seed": 0,
-        "out": "model.lmdl",
-        "report": None,
-    }
-    args = _merge_config(args, defaults)
     if not args.data:
         raise CliError("--data is required")
     train_ds = load(args.data)
@@ -227,8 +211,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    defaults = {"model": None, "data": None, "out": None}
-    args = _merge_config(args, defaults)
     if not args.model or not args.data:
         raise CliError("--model and --data are required")
     model = load_model(args.model)
@@ -258,12 +240,9 @@ def _parse_override(item: str):
 
 
 def _cmd_experiment(args) -> int:
-    defaults = {"scale": "desk", "seed": 0, "jobs": 1, "out": None}
-    args = _merge_config(args, defaults)
-    overrides = dict(_parse_override(item) for item in (args.set or []))
+    overrides = dict(_parse_override(item) for item in args.set)
     preset = ExperimentPreset(args.preset, scale=args.scale, overrides=overrides)
-    out_root = Path(args.out) if args.out else default_output_root()
-    run_dir = run_preset(preset, output_root=out_root, master_seed=args.seed, jobs=args.jobs)
+    run_dir = run_preset(preset, output_root=args.out, master_seed=args.seed, jobs=args.jobs)
     results = json.loads((run_dir / "results.json").read_text(encoding="utf-8"))
     print(f"run dir: {run_dir}")
     print(json.dumps(results, indent=2, sort_keys=True))
@@ -284,69 +263,74 @@ def build_parser() -> argparse.ArgumentParser:
     funcs = subs.add_parser("funcs", help="inspect benchmark functions")
     funcs_subs = funcs.add_subparsers(dest="funcs_command", required=True)
     dump = funcs_subs.add_parser("dump", help="evaluate one instance at a point")
-    dump.add_argument("--suite", choices=sorted(_SUITES))
-    dump.add_argument("--k", type=int, help="function index within the suite")
-    dump.add_argument("--dim", type=int)
+    dump.add_argument("--suite", choices=sorted(_SUITES), default="bbob")
+    dump.add_argument("--k", type=int, default=1, help="function index within the suite")
+    dump.add_argument("--dim", type=int, default=2)
     dump.add_argument("--at", help="comma-separated point, e.g. 0.5,0.5")
     _add_common(dump)
-    dump.set_defaults(fn=_cmd_funcs_dump)
+    dump.set_defaults(fn=_cmd_funcs_dump, sub=dump)
     listing = funcs_subs.add_parser("list", help="list suite functions in order")
     listing.add_argument("--suite", choices=sorted(_SUITES), default="bbob")
     listing.set_defaults(fn=_cmd_funcs_list)
 
     gen = subs.add_parser("generate", help="build a labeled landscape-image dataset")
-    gen.add_argument("--suite", choices=sorted(_SUITES))
-    gen.add_argument("--dim", type=int)
-    gen.add_argument("--n", type=int, help="sample vectors per image")
-    gen.add_argument("--type", type=int, choices=[1, 2, 3, 4, 5], help="image layout type")
-    gen.add_argument("--frame", type=int, help="frame size M")
-    gen.add_argument("--domain", choices=[d.value for d in DomainMap])
-    gen.add_argument("--regime", choices=[r.value for r in Regime])
-    gen.add_argument("--per-class", dest="per_class", type=int)
-    gen.add_argument("--per-class-val", dest="per_class_val", type=int)
-    gen.add_argument("--per-class-test", dest="per_class_test", type=int)
-    gen.add_argument("--instances", type=int)
-    gen.add_argument("--unseen-instances", dest="unseen_instances", type=int)
-    gen.add_argument("--noise", choices=[n.value for n in NoiseKind])
-    gen.add_argument("--uniform-lo", dest="uniform_lo", type=float)
-    gen.add_argument("--uniform-hi", dest="uniform_hi", type=float)
-    gen.add_argument("--jobs", type=int)
-    gen.add_argument("--out", help="output directory")
-    gen.add_argument("--export-png", dest="export_png", action="store_const", const=True)
+    gen.add_argument("--suite", choices=sorted(_SUITES), default="bbob")
+    gen.add_argument("--dim", type=int, default=22)
+    gen.add_argument("--n", type=int, default=24, help="sample vectors per image")
+    gen.add_argument("--type", type=int, choices=[1, 2, 3, 4, 5], default=1,
+                     help="image layout type")
+    gen.add_argument("--frame", type=int, default=32, help="frame size M")
+    gen.add_argument("--domain", choices=[d.value for d in DomainMap],
+                     default=DomainMap.UNIT_CUBE.value)
+    gen.add_argument("--regime", choices=[r.value for r in Regime], default=Regime.L1.value)
+    gen.add_argument("--per-class", dest="per_class", type=int, default=200)
+    gen.add_argument("--per-class-val", dest="per_class_val", type=int, default=0)
+    gen.add_argument("--per-class-test", dest="per_class_test", type=int, default=50)
+    gen.add_argument("--instances", type=int, default=1)
+    gen.add_argument("--unseen-instances", dest="unseen_instances", type=int, default=0)
+    gen.add_argument("--noise", choices=[n.value for n in NoiseKind], default=NoiseKind.NONE.value)
+    gen.add_argument("--uniform-lo", dest="uniform_lo", type=float, default=-2.5)
+    gen.add_argument("--uniform-hi", dest="uniform_hi", type=float, default=2.5)
+    gen.add_argument("--jobs", type=int, default=1)
+    gen.add_argument("--out", default="dataset", help="output directory")
+    gen.add_argument("--export-png", dest="export_png", action="store_true")
     _add_common(gen)
-    gen.set_defaults(fn=_cmd_generate)
+    gen.set_defaults(fn=_cmd_generate, sub=gen)
 
     tr = subs.add_parser("train", help="train a classifier on a dataset")
     tr.add_argument("--data", help="training dataset (.limg)")
     tr.add_argument("--val", help="optional validation dataset (.limg)")
-    tr.add_argument("--preset", choices=["perceptron1", "perceptron3", "lenet5"])
-    tr.add_argument("--lr", type=float)
-    tr.add_argument("--epochs", type=int)
-    tr.add_argument("--batch-size", dest="batch_size", type=int)
-    tr.add_argument("--momentum", type=float)
-    tr.add_argument("--optimizer", choices=["sgd", "adam"])
-    tr.add_argument("--activation", choices=["relu", "tanh"])
-    tr.add_argument("--input-norm", dest="input_norm", choices=["minmax", "raw"])
-    tr.add_argument("--out", help="checkpoint path (.lmdl)")
+    tr.add_argument("--preset", choices=["perceptron1", "perceptron3", "lenet5"],
+                    default="perceptron3")
+    tr.add_argument("--lr", type=float, default=1e-3)
+    tr.add_argument("--epochs", type=int, default=100)
+    tr.add_argument("--batch-size", dest="batch_size", type=int, default=64)
+    tr.add_argument("--momentum", type=float, default=0.0)
+    tr.add_argument("--optimizer", choices=["sgd", "adam"], default="adam")
+    tr.add_argument("--activation", choices=["relu", "tanh"], default="relu")
+    tr.add_argument("--input-norm", dest="input_norm", choices=["minmax", "raw"],
+                    default="minmax")
+    tr.add_argument("--out", default="model.lmdl", help="checkpoint path (.lmdl)")
     tr.add_argument("--report", help="training report CSV path")
     _add_common(tr)
-    tr.set_defaults(fn=_cmd_train)
+    tr.set_defaults(fn=_cmd_train, sub=tr)
 
     ev = subs.add_parser("eval", help="evaluate a checkpoint on a dataset")
     ev.add_argument("--model", help="checkpoint path (.lmdl)")
     ev.add_argument("--data", help="dataset path (.limg)")
     ev.add_argument("--out", help="breakdown CSV path")
-    ev.add_argument("--config", help="JSON file of flag defaults")
-    ev.set_defaults(fn=_cmd_eval)
+    ev.add_argument("--config", help="JSON file of flag defaults (flags override)")
+    ev.set_defaults(fn=_cmd_eval, sub=ev)
 
     ex = subs.add_parser("experiment", help="run a reproducible experiment preset")
     ex.add_argument("preset", choices=list(PRESET_NAMES))
-    ex.add_argument("--scale", choices=["desk", "paper"])
-    ex.add_argument("--jobs", type=int)
+    ex.add_argument("--scale", choices=["desk", "paper"], default="desk")
+    ex.add_argument("--jobs", type=int, default=1)
     ex.add_argument("--out", help="output root (default $FUNCID_OUT or ./funcid_runs)")
-    ex.add_argument("--set", action="append", metavar="KEY=VALUE", help="preset override")
+    ex.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                    help="preset override; an unknown key's error lists the preset's keys")
     _add_common(ex)
-    ex.set_defaults(fn=_cmd_experiment)
+    ex.set_defaults(fn=_cmd_experiment, sub=ex)
 
     return parser
 
@@ -367,6 +351,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            args = _apply_config(parser, argv, args)
         return args.fn(args)
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,6 +6,14 @@ reports plus checkpoints under one output directory.  A run manifest
 records the resolved configuration and a SHA-256 digest of every artifact,
 so reruns with the same seed are verifiable bit-for-bit.
 
+``PRESETS`` is the one place a preset and its override keys are declared:
+each row holds the preset's runner, its own defaults and its desk-scale
+data/epoch overrides.  A run resolves its settings once, in this order: the
+scale's training and data defaults with the preset's own, then the desk
+overrides at desk scale, then the user's overrides.  The keys of the resolved
+settings are the override keys the preset accepts, and each override must
+have the type of the value it replaces.
+
 Desk scale keeps every generated dataset at <= 20,000 images and every
 training run at <= 300 epochs.  Paper scale restores the original heavy
 settings (tens of thousands of images, thousands of epochs) and is only
@@ -15,12 +23,12 @@ practical on serious hardware.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
+from typing import Callable, NamedTuple
 
 from . import rng
 from .datasets import (
@@ -31,7 +39,6 @@ from .datasets import (
     Regime,
     add_uniform_noise,
     build_dataset,
-    spec_to_dict,
 )
 from .encoder import DomainMap, EncoderConfig, ImageType
 from .metrics import (
@@ -45,23 +52,59 @@ from .metrics import (
 from .nn import TrainConfig, init_model, predict, save_model, train
 from .suite import Suite, list_functions
 
-PRESET_NAMES = (
-    "BaseL1DimSweep",
-    "NSweep",
-    "TypeComparison",
-    "MultiInstanceL2",
-    "UnseenL3",
-    "UnseenL3Noisy",
-    "GaussianNoiseL1",
-    "DiscreteL1",
-)
-
 MAX_DESK_DATASET_IMAGES = 20_000
 MAX_DESK_EPOCHS = 300
 
 
 class ExperimentError(ValueError):
     """Unknown preset or invalid override."""
+
+
+# Training and data defaults per scale.  The desk settings replace the original
+# 3000-epoch schedule at learning rate 1e-6: an SGD step there moves each
+# weight by 1e-6 times its gradient, too little for the at most 300 desk
+# epochs to get near the desk accuracy targets.  Adam's step is about the
+# learning rate per weight whatever the gradient's scale, so desk runs default
+# to Adam at 1e-3.
+_SCALE_DEFAULTS = {
+    "desk": {
+        "model": "perceptron3",
+        "optimizer": "adam",
+        "lr": 1e-3,
+        "momentum": 0.0,
+        "batch_size": 64,
+        "epochs": 150,
+        "per_class_train": 200,
+        "per_class_val": 0,
+        "per_class_test": 50,
+    },
+    "paper": {
+        "model": "lenet5",
+        "optimizer": "sgd",
+        "lr": 1e-6,
+        "momentum": 0.0,
+        "batch_size": 64,
+        "epochs": 3000,
+        "per_class_train": 1001,
+        "per_class_val": 501,
+        "per_class_test": 498,
+    },
+}
+
+
+def _fits(value, default) -> bool:
+    """Whether an override has its default's type; an int passes for a float."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    if isinstance(default, float):
+        return type(value) in (int, float)
+    return type(value) is type(default)
+
+
+def _type_name(default) -> str:
+    if isinstance(default, list):
+        return f"list of {_type_name(default[0])}"
+    return "number" if isinstance(default, float) else type(default).__name__
 
 
 @dataclass(frozen=True)
@@ -71,92 +114,39 @@ class ExperimentPreset:
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.name not in PRESET_NAMES:
+        if self.name not in PRESETS:
             raise ExperimentError(f"unknown preset {self.name!r}; choose from {PRESET_NAMES}")
-        if self.scale not in ("desk", "paper"):
+        if self.scale not in _SCALE_DEFAULTS:
             raise ExperimentError(f"scale must be 'desk' or 'paper', got {self.scale!r}")
-        unknown = sorted(set(self.overrides) - OVERRIDE_KEYS)
+        self.settings()
+
+    def settings(self) -> dict:
+        """The resolved settings; an unknown or mistyped override raises ExperimentError."""
+        row = PRESETS[self.name]
+        base = {**_SCALE_DEFAULTS[self.scale], **row.defaults}
+        if self.scale == "desk":
+            base.update(row.desk)
+        unknown = sorted(set(self.overrides) - set(base))
         if unknown:
             raise ExperimentError(
-                f"unknown override(s) {unknown}; choose from {sorted(OVERRIDE_KEYS)}"
+                f"unknown override(s) {unknown}; {self.name} reads {sorted(base)}"
             )
+        for key, value in self.overrides.items():
+            if not _fits(value, base[key]):
+                raise ExperimentError(
+                    f"override {key}={value!r} must be of type {_type_name(base[key])}"
+                )
+        return {**base, **self.overrides}
 
 
-# Training defaults per scale.  The desk settings replace the original
-# 3000-epoch schedule at learning rate 1e-6: an SGD step there moves each
-# weight by 1e-6 times its gradient, too little for the at most 300 desk
-# epochs to get near the desk accuracy targets.  Adam's step is about the
-# learning rate per weight whatever the gradient's scale, so desk runs default
-# to Adam at 1e-3.
-_TRAIN_DEFAULTS = {
-    "desk": {
-        "model": "perceptron3",
-        "optimizer": "adam",
-        "lr": 1e-3,
-        "momentum": 0.0,
-        "batch_size": 64,
-        "epochs": 150,
-    },
-    "paper": {
-        "model": "lenet5",
-        "optimizer": "sgd",
-        "lr": 1e-6,
-        "momentum": 0.0,
-        "batch_size": 64,
-        "epochs": 3000,
-    },
-}
+@dataclass(frozen=True)
+class _Run:
+    """What every stage of one preset run shares."""
 
-_DATA_DEFAULTS = {
-    "desk": {"per_class_train": 200, "per_class_val": 0, "per_class_test": 50},
-    "paper": {"per_class_train": 1001, "per_class_val": 501, "per_class_test": 498},
-}
-
-# Every key some preset reads from its overrides.
-OVERRIDE_KEYS = frozenset(_TRAIN_DEFAULTS["desk"]) | frozenset(_DATA_DEFAULTS["desk"]) | {
-    "dim", "dims", "domain", "instances", "n", "n_values", "runs",
-    "uniform_lo", "uniform_hi", "unseen_instances",
-}
-
-
-def _setting(preset: ExperimentPreset, key: str, default):
-    return preset.overrides.get(key, default)
-
-
-def _train_settings(preset: ExperimentPreset) -> dict:
-    base = dict(_TRAIN_DEFAULTS[preset.scale])
-    for key in base:
-        base[key] = _setting(preset, key, base[key])
-    return base
-
-
-def _data_settings(preset: ExperimentPreset) -> dict:
-    base = dict(_DATA_DEFAULTS[preset.scale])
-    for key in base:
-        base[key] = _setting(preset, key, base[key])
-    return base
-
-
-def _check_desk_bounds(preset: ExperimentPreset, spec: DatasetSpec, epochs: int) -> None:
-    if preset.scale != "desk":
-        return
-    total = (spec.per_class_train + spec.per_class_val + spec.per_class_test) * spec.class_count
-    if total > MAX_DESK_DATASET_IMAGES:
-        raise ExperimentError(
-            f"desk-scale dataset of {total} images exceeds the {MAX_DESK_DATASET_IMAGES} cap"
-        )
-    if epochs > MAX_DESK_EPOCHS:
-        raise ExperimentError(f"desk-scale training of {epochs} epochs exceeds {MAX_DESK_EPOCHS}")
-
-
-@dataclass
-class StageResult:
-    """One train/eval cycle within a preset."""
-
-    tag: str
-    test_accuracy: float
-    best_epoch: int
-    dataset_digests: dict[str, str]
+    out_dir: Path
+    master_seed: int
+    jobs: int
+    desk: bool
 
 
 def _class_names(suite: Suite) -> list[str]:
@@ -164,36 +154,40 @@ def _class_names(suite: Suite) -> list[str]:
 
 
 def _train_stage(
-    spec: DatasetSpec,
-    train_cfg: dict,
-    out_dir: Path,
-    tag: str,
-    model_seed: int,
-    jobs: int,
-    save_checkpoint: bool = True,
+    spec: DatasetSpec, s: dict, run: _Run, tag: str, model_seed: int, save_checkpoint: bool = True
 ):
-    """Build datasets and train; returns (best_model, splits, report)."""
-    splits = build_dataset(spec, jobs=jobs)
+    """Check the desk caps, build datasets and train; returns (best_model, splits)."""
+    if run.desk:
+        total = (spec.per_class_train + spec.per_class_val + spec.per_class_test) * spec.class_count
+        if total > MAX_DESK_DATASET_IMAGES:
+            raise ExperimentError(
+                f"desk-scale dataset of {total} images exceeds the {MAX_DESK_DATASET_IMAGES} cap"
+            )
+        if s["epochs"] > MAX_DESK_EPOCHS:
+            raise ExperimentError(
+                f"desk-scale training of {s['epochs']} epochs exceeds {MAX_DESK_EPOCHS}"
+            )
+    splits = build_dataset(spec, jobs=run.jobs)
     model = init_model(
-        train_cfg["model"],
+        s["model"],
         class_count=spec.class_count,
         frame_size=spec.encoder.frame_size,
         seed=model_seed,
     )
     cfg = TrainConfig(
-        learning_rate=train_cfg["lr"],
-        epochs=train_cfg["epochs"],
-        batch_size=train_cfg["batch_size"],
+        learning_rate=s["lr"],
+        epochs=s["epochs"],
+        batch_size=s["batch_size"],
         seed=rng.derive_seed(spec.master_seed, rng.BATCH_ORDER, 0),
-        momentum=train_cfg["momentum"],
-        optimizer=train_cfg["optimizer"],
+        momentum=s["momentum"],
+        optimizer=s["optimizer"],
     )
     val = splits["val"] if len(splits["val"]) else None
     best, report = train(model, splits["train"], val, cfg)
-    report.to_csv(out_dir / f"train_report_{tag}.csv")
+    report.to_csv(run.out_dir / f"train_report_{tag}.csv")
     if save_checkpoint:
-        save_model(best, out_dir / f"model_{tag}.lmdl")
-    return best, splits, report
+        save_model(best, run.out_dir / f"model_{tag}.lmdl")
+    return best, splits
 
 
 def _eval_stage(model, dataset: Dataset, out_dir: Path, tag: str) -> float:
@@ -207,29 +201,15 @@ def _eval_stage(model, dataset: Dataset, out_dir: Path, tag: str) -> float:
 
 
 def _run_cycle(
-    spec: DatasetSpec,
-    train_cfg: dict,
-    out_dir: Path,
-    tag: str,
-    model_seed: int,
-    jobs: int,
-    save_checkpoint: bool = True,
-) -> StageResult:
-    """Build datasets, train, evaluate on the test split, write artifacts."""
-    best, splits, report = _train_stage(
-        spec, train_cfg, out_dir, tag, model_seed, jobs, save_checkpoint
-    )
-    test_acc = _eval_stage(best, splits["test"], out_dir, tag)
-    return StageResult(
-        tag=tag,
-        test_accuracy=test_acc,
-        best_epoch=report.best_epoch,
-        dataset_digests={name: ds.manifest.digest for name, ds in splits.items()},
-    )
+    spec: DatasetSpec, s: dict, run: _Run, tag: str, model_seed: int, save_checkpoint: bool = True
+) -> float:
+    """Build datasets, train, write artifacts; returns the test-split accuracy."""
+    best, splits = _train_stage(spec, s, run, tag, model_seed, save_checkpoint)
+    return _eval_stage(best, splits["test"], run.out_dir, tag)
 
 
 def _bbob_spec(
-    preset: ExperimentPreset,
+    s: dict,
     dim: int,
     master_seed: int,
     image_type: ImageType = ImageType.TYPE1,
@@ -238,9 +218,7 @@ def _bbob_spec(
     instances: int = 1,
     unseen: int = 0,
     noise: NoiseSpec = NoiseSpec(),
-    domain: DomainMap = DomainMap.UNIT_CUBE,
 ) -> DatasetSpec:
-    data = _data_settings(preset)
     return DatasetSpec(
         suite=Suite.CONTINUOUS_BBOB,
         dim=dim,
@@ -249,12 +227,12 @@ def _bbob_spec(
             sample_size=sample_size,
             image_type=image_type,
             frame_size=32,
-            domain_map=DomainMap(_setting(preset, "domain", domain.value)),
+            domain_map=DomainMap(s["domain"]),
         ),
         regime=regime,
-        per_class_train=data["per_class_train"],
-        per_class_val=data["per_class_val"],
-        per_class_test=data["per_class_test"],
+        per_class_train=s["per_class_train"],
+        per_class_val=s["per_class_val"],
+        per_class_test=s["per_class_test"],
         instances_per_function=instances,
         unseen_instances_per_function=unseen,
         master_seed=master_seed,
@@ -262,178 +240,165 @@ def _bbob_spec(
     )
 
 
-def _preset_base_l1_dim_sweep(preset, out_dir, master_seed, jobs) -> dict:
-    dims = _setting(preset, "dims", list(range(2, 31, 2)))
-    tr = _train_settings(preset)
-    if preset.scale == "desk":
-        # Many small runs: shrink the per-dimension datasets and epochs.
-        tr["epochs"] = _setting(preset, "epochs", 60)
-        data_over = {"per_class_train": 30, "per_class_val": 0, "per_class_test": 10}
-        preset = ExperimentPreset(
-            preset.name, preset.scale, {**data_over, **preset.overrides}
-        )
+def _dim_sweep(s: dict, run: _Run) -> dict:
     rows = []
-    for d in dims:
-        spec = _bbob_spec(preset, dim=d, master_seed=rng.derive_seed(master_seed, 101, d))
-        _check_desk_bounds(preset, spec, tr["epochs"])
-        result = _run_cycle(
-            spec, tr, out_dir, tag=f"d{d:02d}", model_seed=rng.derive_seed(master_seed, 102, d),
-            jobs=jobs, save_checkpoint=False,
+    for d in s["dims"]:
+        spec = _bbob_spec(s, dim=d, master_seed=rng.derive_seed(run.master_seed, 101, d))
+        acc = _run_cycle(
+            spec, s, run, f"d{d:02d}", rng.derive_seed(run.master_seed, 102, d),
+            save_checkpoint=False,
         )
-        rows.append((float(d), result.test_accuracy))
-    emit_sweep_curve(rows, out_dir / "sweep_curve.csv")
+        rows.append((float(d), acc))
+    emit_sweep_curve(rows, run.out_dir / "sweep_curve.csv")
     return {"curve": rows}
 
 
-def _preset_n_sweep(preset, out_dir, master_seed, jobs) -> dict:
-    n_values = _setting(preset, "n_values", [1, 8, 16, 24, 32])
-    dim = _setting(preset, "dim", 22)
-    tr = _train_settings(preset)
-    if preset.scale == "desk":
-        data_over = {"per_class_train": 120, "per_class_val": 0, "per_class_test": 30}
-        preset = ExperimentPreset(
-            preset.name, preset.scale, {**data_over, **preset.overrides}
-        )
+def _n_sweep(s: dict, run: _Run) -> dict:
     rows = []
-    for n in n_values:
+    for n in s["n_values"]:
         spec = _bbob_spec(
-            preset, dim=dim, master_seed=rng.derive_seed(master_seed, 111, n), sample_size=n
+            s, dim=s["dim"], master_seed=rng.derive_seed(run.master_seed, 111, n), sample_size=n
         )
-        _check_desk_bounds(preset, spec, tr["epochs"])
-        result = _run_cycle(
-            spec, tr, out_dir, tag=f"n{n:02d}", model_seed=rng.derive_seed(master_seed, 112, n),
-            jobs=jobs, save_checkpoint=False,
+        acc = _run_cycle(
+            spec, s, run, f"n{n:02d}", rng.derive_seed(run.master_seed, 112, n),
+            save_checkpoint=False,
         )
-        rows.append((float(n), result.test_accuracy))
-    emit_sweep_curve(rows, out_dir / "sweep_curve.csv")
+        rows.append((float(n), acc))
+    emit_sweep_curve(rows, run.out_dir / "sweep_curve.csv")
     return {"curve": rows}
 
 
-def _preset_type_comparison(preset, out_dir, master_seed, jobs) -> dict:
-    runs = _setting(preset, "runs", 5)
-    dim = _setting(preset, "dim", 22)
-    tr = _train_settings(preset)
-    if preset.scale == "desk":
-        tr["epochs"] = _setting(preset, "epochs", 100)
-        data_over = {"per_class_train": 50, "per_class_val": 0, "per_class_test": 15}
-        preset = ExperimentPreset(
-            preset.name, preset.scale, {**data_over, **preset.overrides}
-        )
+def _type_comparison(s: dict, run: _Run) -> dict:
     groups = []
     per_type: dict[int, list[float]] = {}
     for t in (1, 2, 3, 4, 5):
         accs = []
-        for run in range(runs):
+        for r in range(s["runs"]):
             spec = _bbob_spec(
-                preset,
-                dim=dim,
-                master_seed=rng.derive_seed(master_seed, 121, t, run),
+                s,
+                dim=s["dim"],
+                master_seed=rng.derive_seed(run.master_seed, 121, t, r),
                 image_type=ImageType(t),
             )
-            _check_desk_bounds(preset, spec, tr["epochs"])
-            result = _run_cycle(
-                spec, tr, out_dir, tag=f"type{t}_run{run}",
-                model_seed=rng.derive_seed(master_seed, 122, t, run),
-                jobs=jobs, save_checkpoint=False,
-            )
-            accs.append(result.test_accuracy)
+            accs.append(_run_cycle(
+                spec, s, run, f"type{t}_run{r}", rng.derive_seed(run.master_seed, 122, t, r),
+                save_checkpoint=False,
+            ))
         per_type[t] = accs
         groups.append((f"type{t}", aggregate_runs(accs)))
-    emit_boxplot(groups, out_dir / "boxplot.csv")
+    emit_boxplot(groups, run.out_dir / "boxplot.csv")
     return {"per_type": per_type}
 
 
-def _preset_multi_instance_l2(preset, out_dir, master_seed, jobs) -> dict:
-    dim = _setting(preset, "dim", 22)
-    instances = _setting(preset, "instances", 5)
-    tr = _train_settings(preset)
-    if preset.scale == "desk":
-        data_over = {"per_class_train": 500, "per_class_val": 0, "per_class_test": 100}
-        preset = ExperimentPreset(
-            preset.name, preset.scale, {**data_over, **preset.overrides}
-        )
+def _multi_instance_l2(s: dict, run: _Run) -> dict:
     spec = _bbob_spec(
-        preset, dim=dim, master_seed=rng.derive_seed(master_seed, 131),
-        regime=Regime.L2, instances=instances,
+        s, dim=s["dim"], master_seed=rng.derive_seed(run.master_seed, 131),
+        regime=Regime.L2, instances=s["instances"],
     )
-    _check_desk_bounds(preset, spec, tr["epochs"])
-    result = _run_cycle(
-        spec, tr, out_dir, tag="l2", model_seed=rng.derive_seed(master_seed, 132), jobs=jobs
-    )
-    return {"test_accuracy": result.test_accuracy}
+    return {"test_accuracy": _run_cycle(spec, s, run, "l2", rng.derive_seed(run.master_seed, 132))}
 
 
-def _preset_unseen_l3(preset, out_dir, master_seed, jobs, noisy: bool) -> dict:
-    dim = _setting(preset, "dim", 22)
-    instances = _setting(preset, "instances", 5)
-    unseen = _setting(preset, "unseen_instances", 5)
-    tr = _train_settings(preset)
-    if preset.scale == "desk":
-        data_over = {"per_class_train": 400, "per_class_val": 0, "per_class_test": 100}
-        preset = ExperimentPreset(
-            preset.name, preset.scale, {**data_over, **preset.overrides}
-        )
-    # The +/-2.5 noise protocol presumes the [-5, 5] data range; unseen-
-    # instance runs therefore sample the mapped box rather than the unit cube.
+def _unseen_l3(s: dict, run: _Run) -> dict:
     spec = _bbob_spec(
-        preset, dim=dim, master_seed=rng.derive_seed(master_seed, 141),
-        regime=Regime.L3, instances=instances, unseen=unseen,
-        domain=DomainMap.AFFINE_TO_BBOB_BOX,
+        s, dim=s["dim"], master_seed=rng.derive_seed(run.master_seed, 141),
+        regime=Regime.L3, instances=s["instances"], unseen=s["unseen_instances"],
     )
-    _check_desk_bounds(preset, spec, tr["epochs"])
-    best, splits, _report = _train_stage(
-        spec, tr, out_dir, tag="l3", model_seed=rng.derive_seed(master_seed, 142), jobs=jobs
-    )
-    out = {"clean_accuracy": _eval_stage(best, splits["test"], out_dir, "l3_clean")}
-    if noisy:
-        lo = _setting(preset, "uniform_lo", -2.5)
-        hi = _setting(preset, "uniform_hi", 2.5)
+    best, splits = _train_stage(spec, s, run, "l3", rng.derive_seed(run.master_seed, 142))
+    out = {"clean_accuracy": _eval_stage(best, splits["test"], run.out_dir, "l3_clean")}
+    if "uniform_lo" in s:  # UnseenL3Noisy: also score the test split under uniform noise
         noisy_test = add_uniform_noise(
-            splits["test"], lo, hi, rng.derive_seed(spec.master_seed, rng.NOISE, 2)
+            splits["test"], s["uniform_lo"], s["uniform_hi"],
+            rng.derive_seed(spec.master_seed, rng.NOISE, 2),
         )
-        out["noisy_accuracy"] = _eval_stage(best, noisy_test, out_dir, "l3_noisy")
+        out["noisy_accuracy"] = _eval_stage(best, noisy_test, run.out_dir, "l3_noisy")
     return out
 
 
-def _preset_gaussian_noise_l1(preset, out_dir, master_seed, jobs) -> dict:
-    dim = _setting(preset, "dim", 22)
-    tr = _train_settings(preset)
-    clean_spec = _bbob_spec(preset, dim=dim, master_seed=rng.derive_seed(master_seed, 151))
-    _check_desk_bounds(preset, clean_spec, tr["epochs"])
-    clean = _run_cycle(
-        clean_spec, tr, out_dir, tag="clean",
-        model_seed=rng.derive_seed(master_seed, 152), jobs=jobs,
-    )
+def _gaussian_noise_l1(s: dict, run: _Run) -> dict:
+    seed, model_seed = rng.derive_seed(run.master_seed, 151), rng.derive_seed(run.master_seed, 152)
+    clean_spec = _bbob_spec(s, dim=s["dim"], master_seed=seed)
     noisy_spec = _bbob_spec(
-        preset, dim=dim, master_seed=rng.derive_seed(master_seed, 151),
-        noise=NoiseSpec(kind=NoiseKind.GAUSSIAN_HALF_MAX),
+        s, dim=s["dim"], master_seed=seed, noise=NoiseSpec(kind=NoiseKind.GAUSSIAN_HALF_MAX)
     )
-    noisy = _run_cycle(
-        noisy_spec, tr, out_dir, tag="noisy",
-        model_seed=rng.derive_seed(master_seed, 152), jobs=jobs,
-    )
-    return {"clean_accuracy": clean.test_accuracy, "noisy_accuracy": noisy.test_accuracy}
+    return {
+        "clean_accuracy": _run_cycle(clean_spec, s, run, "clean", model_seed),
+        "noisy_accuracy": _run_cycle(noisy_spec, s, run, "noisy", model_seed),
+    }
 
 
-def _preset_discrete_l1(preset, out_dir, master_seed, jobs) -> dict:
-    dim = _setting(preset, "dim", 16)
-    tr = _train_settings(preset)
-    data = _data_settings(preset)
+def _discrete_l1(s: dict, run: _Run) -> dict:
     spec = DatasetSpec(
         suite=Suite.DISCRETE_PB,
-        dim=dim,
-        encoder=EncoderConfig(dim=dim, sample_size=_setting(preset, "n", 24), frame_size=32),
+        dim=s["dim"],
+        encoder=EncoderConfig(dim=s["dim"], sample_size=s["n"], frame_size=32),
         regime=Regime.L1,
-        per_class_train=data["per_class_train"],
-        per_class_val=data["per_class_val"],
-        per_class_test=data["per_class_test"],
-        master_seed=rng.derive_seed(master_seed, 161),
+        per_class_train=s["per_class_train"],
+        per_class_val=s["per_class_val"],
+        per_class_test=s["per_class_test"],
+        master_seed=rng.derive_seed(run.master_seed, 161),
     )
-    _check_desk_bounds(preset, spec, tr["epochs"])
-    result = _run_cycle(
-        spec, tr, out_dir, tag="discrete", model_seed=rng.derive_seed(master_seed, 162), jobs=jobs
-    )
-    return {"test_accuracy": result.test_accuracy}
+    model_seed = rng.derive_seed(run.master_seed, 162)
+    return {"test_accuracy": _run_cycle(spec, s, run, "discrete", model_seed)}
+
+
+class _Preset(NamedTuple):
+    runner: Callable[[dict, _Run], dict]
+    defaults: dict  # the preset's own settings, at both scales
+    desk: dict  # data/epoch settings that replace the scale defaults at desk scale
+
+
+_UNIT_CUBE = DomainMap.UNIT_CUBE.value
+# The +/-2.5 noise protocol presumes the [-5, 5] data range; unseen-instance
+# runs therefore sample the mapped box rather than the unit cube.
+_L3 = {"dim": 22, "instances": 5, "unseen_instances": 5,
+       "domain": DomainMap.AFFINE_TO_BBOB_BOX.value}
+_L3_DESK = {"per_class_train": 400, "per_class_test": 100}
+
+# The one place a preset is declared.  A runner calls the pipeline functions
+# through this module's globals, so a wrapper set on the module sees the call.
+PRESETS = {
+    "BaseL1DimSweep": _Preset(
+        _dim_sweep, {"dims": list(range(2, 31, 2)), "domain": _UNIT_CUBE},
+        # Many small runs: shrink the per-dimension datasets and epochs.
+        {"epochs": 60, "per_class_train": 30, "per_class_test": 10},
+    ),
+    "NSweep": _Preset(
+        _n_sweep, {"n_values": [1, 8, 16, 24, 32], "dim": 22, "domain": _UNIT_CUBE},
+        {"per_class_train": 120, "per_class_test": 30},
+    ),
+    "TypeComparison": _Preset(
+        _type_comparison, {"runs": 5, "dim": 22, "domain": _UNIT_CUBE},
+        {"epochs": 100, "per_class_train": 50, "per_class_test": 15},
+    ),
+    "MultiInstanceL2": _Preset(
+        _multi_instance_l2, {"dim": 22, "instances": 5, "domain": _UNIT_CUBE},
+        {"per_class_train": 500, "per_class_test": 100},
+    ),
+    "UnseenL3": _Preset(_unseen_l3, _L3, _L3_DESK),
+    "UnseenL3Noisy": _Preset(
+        _unseen_l3, {**_L3, "uniform_lo": -2.5, "uniform_hi": 2.5}, _L3_DESK
+    ),
+    "GaussianNoiseL1": _Preset(_gaussian_noise_l1, {"dim": 22, "domain": _UNIT_CUBE}, {}),
+    "DiscreteL1": _Preset(_discrete_l1, {"dim": 16, "n": 24}, {}),
+}
+PRESET_NAMES = tuple(PRESETS)
+
+
+def _new_run_dir(root: Path, name: str) -> Path:
+    """Create ``<name>-<timestamp>`` under root; ``-2``, ``-3``, ... on a collision.
+
+    Each candidate is claimed by an exclusive ``mkdir``, so two runs never
+    share a directory.
+    """
+    root.mkdir(parents=True, exist_ok=True)
+    stem = f"{name}-{time.strftime('%Y%m%d-%H%M%S')}"
+    for i in itertools.count(1):
+        run_dir = root / (stem if i == 1 else f"{stem}-{i}")
+        try:
+            run_dir.mkdir()
+            return run_dir
+        except FileExistsError:
+            continue
 
 
 def run_preset(
@@ -445,24 +410,13 @@ def run_preset(
     """Execute a preset; returns the timestamped run directory.
 
     The directory holds the stage CSVs/checkpoints, a ``results.json`` with
-    headline numbers, and a ``run_manifest.json`` with the resolved config
+    headline numbers, and a ``run_manifest.json`` with the resolved settings
     plus a digest of every artifact (the manifest itself excluded).
     """
-    root = Path(output_root) if output_root else default_output_root()
-    run_dir = root / f"{preset.name}-{time.strftime('%Y%m%d-%H%M%S')}"
-    run_dir.mkdir(parents=True, exist_ok=False)
-
-    runners = {
-        "BaseL1DimSweep": _preset_base_l1_dim_sweep,
-        "NSweep": _preset_n_sweep,
-        "TypeComparison": _preset_type_comparison,
-        "MultiInstanceL2": _preset_multi_instance_l2,
-        "UnseenL3": lambda p, o, s, j: _preset_unseen_l3(p, o, s, j, noisy=False),
-        "UnseenL3Noisy": lambda p, o, s, j: _preset_unseen_l3(p, o, s, j, noisy=True),
-        "GaussianNoiseL1": _preset_gaussian_noise_l1,
-        "DiscreteL1": _preset_discrete_l1,
-    }
-    results = runners[preset.name](preset, run_dir, master_seed, jobs)
+    settings = preset.settings()
+    run_dir = _new_run_dir(Path(output_root) if output_root else default_output_root(), preset.name)
+    run = _Run(run_dir, master_seed, jobs, desk=preset.scale == "desk")
+    results = PRESETS[preset.name].runner(settings, run)
 
     (run_dir / "results.json").write_text(
         json.dumps(results, indent=2, sort_keys=True), encoding="utf-8"
@@ -472,7 +426,7 @@ def run_preset(
         "scale": preset.scale,
         "overrides": preset.overrides,
         "master_seed": master_seed,
-        "train_defaults": _TRAIN_DEFAULTS[preset.scale],
+        "settings": settings,
         "artifacts": artifact_digests(run_dir),
     }
     (run_dir / "run_manifest.json").write_text(

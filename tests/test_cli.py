@@ -6,8 +6,12 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import funcid.cli
+import funcid.experiments
 from funcid.cli import main
+from funcid.experiments import ExperimentPreset
 from funcid.suite import Suite, evaluate, make_instance, problem
 
 
@@ -83,9 +87,175 @@ class TestExperiment:
         ]
         assert first["artifacts"] == second["artifacts"]
 
-    def test_unknown_override_exits_2(self, tmp_path, capsys):
-        code = main(["experiment", "UnseenL3Noisy", "--out", str(tmp_path),
-                     "--set", "epoch=1"])
+    def test_back_to_back_runs_get_distinct_dirs(self, tmp_path, capsys, monkeypatch):
+        # Pin the clock so that all three runs want the same directory name.
+        monkeypatch.setattr(funcid.experiments.time, "strftime", lambda fmt: "20260101-000000")
+        argv = ["experiment", "UnseenL3Noisy", "--out", str(tmp_path), "--seed", "3", *TINY_L3,
+                "--set", "dim=2", "--set", "instances=1", "--set", "unseen_instances=1"]
+        assert [main(argv) for _ in range(3)] == [0, 0, 0]
+        capsys.readouterr()
+        stem = "UnseenL3Noisy-20260101-000000"
+        run_dirs = sorted(tmp_path.iterdir())
+        assert [d.name for d in run_dirs] == [stem, f"{stem}-2", f"{stem}-3"]
+        manifests = [json.loads((d / "run_manifest.json").read_text(encoding="utf-8"))
+                     for d in run_dirs]
+        assert manifests[0]["artifacts"] == manifests[1]["artifacts"] == manifests[2]["artifacts"]
+
+    @pytest.mark.parametrize("preset, item, message", [
+        ("UnseenL3Noisy", "epoch=1", "unknown override(s) ['epoch']; UnseenL3Noisy reads ["),
+        ("UnseenL3Noisy", "dims=[2]", "unknown override(s) ['dims']"),
+        ("BaseL1DimSweep", "dims=5", "override dims=5 must be of type list of int"),
+        ("BaseL1DimSweep", "dims=[2.5]", "override dims=[2.5] must be of type list of int"),
+        ("UnseenL3", "lr=\"abc\"", "override lr='abc' must be of type number"),
+        ("UnseenL3", "epochs=true", "override epochs=True must be of type int"),
+    ])
+    def test_unknown_override_exits_2(self, preset, item, message, tmp_path, capsys):
+        code = main(["experiment", preset, "--out", str(tmp_path), "--set", item])
         assert code == 2
-        assert "unknown override(s) ['epoch']" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_int_override_accepted_for_float(self):
+        preset = ExperimentPreset("UnseenL3Noisy", overrides={"lr": 1, "uniform_lo": -2})
+        settings = preset.settings()
+        assert (settings["lr"], settings["uniform_lo"]) == (1, -2)
+
+
+# A tiny d=2 BBOB dataset: 24 classes, one image per class in train and test.
+TINY_GEN = ["--dim", "2", "--per-class", "1", "--per-class-test", "1", "--jobs", "1"]
+
+
+def _write_config(path: Path, config) -> str:
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return str(path)
+
+
+def _split_sizes(out: str) -> dict[str, int]:
+    """{split: image count} from the ``<split>: <n> images, ...`` lines."""
+    return {ln.split(":")[0]: int(ln.split()[1]) for ln in out.splitlines() if " images, " in ln}
+
+
+@pytest.fixture
+def tiny_data(tmp_path, capsys) -> Path:
+    out = tmp_path / "data"
+    assert main(["generate", *TINY_GEN, "--out", str(out)]) == 0
+    capsys.readouterr()
+    return out
+
+
+class TestGenerateTrainEval:
+    def test_pipeline_exits_0(self, tiny_data, tmp_path, capsys):
+        model = tmp_path / "model.lmdl"
+        assert main(["train", "--data", str(tiny_data / "train.limg"), "--epochs", "1",
+                     "--preset", "perceptron1", "--out", str(model)]) == 0
+        assert main(["eval", "--model", str(model), "--data", str(tiny_data / "test.limg"),
+                     "--out", str(tmp_path / "breakdown.csv")]) == 0
+        out = capsys.readouterr().out
+        assert "accuracy: " in out and "over 24 images" in out
+        assert (tmp_path / "breakdown.csv").is_file()
+
+    @pytest.mark.parametrize("argv", [
+        ["train"],
+        ["eval", "--data", "test.limg"],
+        ["eval", "--model", "model.lmdl"],
+    ])
+    def test_missing_input_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert "required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["generate"], ["train"], ["eval"],
+                                         ["experiment", "UnseenL3"]])
+    @pytest.mark.parametrize("config, message", [
+        (None, "config file not found"),
+        ("[1, 2]", "must hold a JSON object"),
+        ("{not json", "Expecting property name"),
+        ('{"per-class": 3, "bogus": 1}', "unknown config key(s) ['bogus', 'per-class']"),
+    ])
+    def test_bad_config_exits_2(self, command, config, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "config.json"
+        if config is not None:
+            path.write_text(config, encoding="utf-8")
+        assert main([*command, "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == ([path] if config is not None else [])
+
+    @pytest.mark.parametrize("command, config, message", [
+        (["generate"], {"dim": 2.5}, "config dim=2.5 is not a valid int"),
+        (["generate"], {"dim": True}, "config dim=True is not a valid int"),
+        (["generate"], {"type": 9}, "config type=9 is not one of [1, 2, 3, 4, 5]"),
+        (["generate"], {"export_png": "yes"}, "config export_png='yes' must be true or false"),
+        (["generate"], {"out": 5}, "config out=5 must be a string"),
+        (["experiment", "UnseenL3"], {"set": "epochs=1"}, "must be a list of strings"),
+        (["experiment", "UnseenL3"], {"scale": "huge"}, "config scale='huge' is not one of"),
+    ])
+    def test_mistyped_config_value_exits_2(self, command, config, message, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = _write_config(tmp_path / "config.json", config)
+        assert main([*command, "--config", path]) == 2
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_truncated_dataset_exits_1(self, tiny_data, tmp_path, capsys):
+        train_limg = tiny_data / "train.limg"
+        model = tmp_path / "model.lmdl"
+        assert main(["train", "--data", str(train_limg), "--epochs", "1",
+                     "--preset", "perceptron1", "--out", str(model)]) == 0
+        test_limg = tiny_data / "test.limg"
+        test_limg.write_bytes(test_limg.read_bytes()[:-5])
+        train_limg.write_bytes(train_limg.read_bytes()[:20])
+        assert main(["train", "--data", str(train_limg), "--epochs", "1"]) == 1
+        assert main(["eval", "--model", str(model), "--data", str(test_limg)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("runtime failure: ") == 2
+
+
+class TestConfigPrecedence:
+    def test_generate_flag_beats_config_beats_default(self, tmp_path, capsys):
+        config = _write_config(tmp_path / "gen.json", {
+            "dim": 2, "per_class": 2, "per_class_test": 1, "jobs": 1,
+            "out": str(tmp_path / "from_config"),
+        })
+        assert main(["generate", "--config", config, "--per-class", "1"]) == 0
+        # --per-class beats the config's 2; per_class_test 1 and out come from
+        # the config instead of the defaults 50 and ./dataset.
+        assert _split_sizes(capsys.readouterr().out) == {"train": 24, "test": 24}
+        assert (tmp_path / "from_config" / "train.limg").is_file()
+
+    def test_experiment_flag_beats_config_beats_default(self, tmp_path, preset_calls):
+        config = _write_config(tmp_path / "ex.json", {
+            "scale": "paper", "seed": 5, "jobs": 2, "out": str(tmp_path / "cfg"),
+        })
+        assert main(["experiment", "UnseenL3", "--config", config, "--seed", "7"]) == 0
+        assert main(["experiment", "UnseenL3", "--config", config, "--scale", "desk",
+                     "--out", str(tmp_path / "flag")]) == 0
+        assert main(["experiment", "UnseenL3", "--out", str(tmp_path / "plain")]) == 0
+        assert [(p.name, p.scale, Path(root), seed, jobs)
+                for p, root, seed, jobs in preset_calls] == [
+            ("UnseenL3", "paper", tmp_path / "cfg", 7, 2),
+            ("UnseenL3", "desk", tmp_path / "flag", 5, 2),
+            ("UnseenL3", "desk", tmp_path / "plain", 0, 1),
+        ]
+
+    def test_config_set_list_precedes_set_flags(self, tmp_path, preset_calls):
+        config = _write_config(tmp_path / "ex.json", {"set": ["epochs=1", "dim=2"]})
+        assert main(["experiment", "UnseenL3", "--config", config, "--set", "dim=3",
+                     "--out", str(tmp_path)]) == 0
+        assert preset_calls[0][0].overrides == {"epochs": 1, "dim": 3}
+
+
+@pytest.fixture
+def preset_calls(monkeypatch) -> list:
+    """Replaces the CLI's run_preset; records (preset, output_root, master_seed, jobs)."""
+    calls = []
+
+    def run_preset(preset, output_root, master_seed, jobs):
+        calls.append((preset, output_root, master_seed, jobs))
+        run_dir = Path(output_root) / "run"
+        run_dir.mkdir(parents=True)
+        (run_dir / "results.json").write_text("{}", encoding="utf-8")
+        return run_dir
+
+    monkeypatch.setattr(funcid.cli, "run_preset", run_preset)
+    return calls
