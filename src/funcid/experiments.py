@@ -121,7 +121,12 @@ class ExperimentPreset:
         self.settings()
 
     def settings(self) -> dict:
-        """The resolved settings; an unknown or mistyped override raises ExperimentError."""
+        """The resolved settings.
+
+        An unknown or mistyped override, or a desk-scale setting beyond the
+        desk caps, raises ExperimentError, so a run fails before it makes its
+        directory or runs its first sweep point.
+        """
         row = PRESETS[self.name]
         base = {**_SCALE_DEFAULTS[self.scale], **row.defaults}
         if self.scale == "desk":
@@ -136,7 +141,20 @@ class ExperimentPreset:
                 raise ExperimentError(
                     f"override {key}={value!r} must be of type {_type_name(base[key])}"
                 )
-        return {**base, **self.overrides}
+        s = {**base, **self.overrides}
+        if self.scale == "desk":
+            per_class = s["per_class_train"] + s["per_class_val"] + s["per_class_test"]
+            total = per_class * len(list_functions(row.suite))
+            if total > MAX_DESK_DATASET_IMAGES:
+                raise ExperimentError(
+                    f"desk-scale dataset of {total} images exceeds the "
+                    f"{MAX_DESK_DATASET_IMAGES} cap"
+                )
+            if s["epochs"] > MAX_DESK_EPOCHS:
+                raise ExperimentError(
+                    f"desk-scale training of {s['epochs']} epochs exceeds {MAX_DESK_EPOCHS}"
+                )
+        return s
 
 
 @dataclass(frozen=True)
@@ -146,7 +164,6 @@ class _Run:
     out_dir: Path
     master_seed: int
     jobs: int
-    desk: bool
 
 
 def _class_names(suite: Suite) -> list[str]:
@@ -156,17 +173,7 @@ def _class_names(suite: Suite) -> list[str]:
 def _train_stage(
     spec: DatasetSpec, s: dict, run: _Run, tag: str, model_seed: int, save_checkpoint: bool = True
 ):
-    """Check the desk caps, build datasets and train; returns (best_model, splits)."""
-    if run.desk:
-        total = (spec.per_class_train + spec.per_class_val + spec.per_class_test) * spec.class_count
-        if total > MAX_DESK_DATASET_IMAGES:
-            raise ExperimentError(
-                f"desk-scale dataset of {total} images exceeds the {MAX_DESK_DATASET_IMAGES} cap"
-            )
-        if s["epochs"] > MAX_DESK_EPOCHS:
-            raise ExperimentError(
-                f"desk-scale training of {s['epochs']} epochs exceeds {MAX_DESK_EPOCHS}"
-            )
+    """Build datasets and train; returns (best_model, splits)."""
     splits = build_dataset(spec, jobs=run.jobs)
     model = init_model(
         s["model"],
@@ -345,6 +352,7 @@ class _Preset(NamedTuple):
     runner: Callable[[dict, _Run], dict]
     defaults: dict  # the preset's own settings, at both scales
     desk: dict  # data/epoch settings that replace the scale defaults at desk scale
+    suite: Suite = Suite.CONTINUOUS_BBOB  # whose functions are the classes
 
 
 _UNIT_CUBE = DomainMap.UNIT_CUBE.value
@@ -379,7 +387,7 @@ PRESETS = {
         _unseen_l3, {**_L3, "uniform_lo": -2.5, "uniform_hi": 2.5}, _L3_DESK
     ),
     "GaussianNoiseL1": _Preset(_gaussian_noise_l1, {"dim": 22, "domain": _UNIT_CUBE}, {}),
-    "DiscreteL1": _Preset(_discrete_l1, {"dim": 16, "n": 24}, {}),
+    "DiscreteL1": _Preset(_discrete_l1, {"dim": 16, "n": 24}, {}, Suite.DISCRETE_PB),
 }
 PRESET_NAMES = tuple(PRESETS)
 
@@ -415,7 +423,7 @@ def run_preset(
     """
     settings = preset.settings()
     run_dir = _new_run_dir(Path(output_root) if output_root else default_output_root(), preset.name)
-    run = _Run(run_dir, master_seed, jobs, desk=preset.scale == "desk")
+    run = _Run(run_dir, master_seed, jobs)
     results = PRESETS[preset.name].runner(settings, run)
 
     (run_dir / "results.json").write_text(

@@ -10,6 +10,7 @@ matter how generation work is ordered or parallelized.
 from __future__ import annotations
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 _MASK64 = (1 << 64) - 1
 
@@ -37,17 +38,38 @@ def _mix(word: int, tag: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+class _Key(ISeedSequence):
+    """A pass-through seed sequence that hands Philox its two key words as given.
+
+    Philox asks its seed sequence for two uint64 words and uses them as the
+    key, with the counter at 0, which is the state ``Philox(key=...)`` sets.
+    Passing the key this way skips the ``SeedSequence()`` entropy pull that
+    ``Philox(key=...)`` makes and then discards.  The sequence cannot spawn, so
+    neither can the generators built on it.
+    """
+
+    def __init__(self, words: list[int]):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 2 or dtype is not np.uint64:
+            raise ValueError(f"a Philox key is 2 uint64 words, not {n_words} of {dtype}")
+        return np.array(self.words, dtype=np.uint64)
+
+
 def substream(seed: int, *tags: int) -> np.random.Generator:
     """Return the Philox generator for (seed, tags).
 
-    The seed occupies one key word verbatim, so distinct seeds always give
-    distinct streams; the tag tuple is hashed into the second key word.
+    The Philox key is ``[seed mod 2**64, tag word]`` and the counter starts
+    at 0.  The seed occupies the first key word verbatim, so distinct seeds
+    always give distinct streams; the tag tuple is hashed into the second
+    word by a chain of splitmix64 steps.  The key reaches Philox through a
+    pass-through ``ISeedSequence``, so the generator is not spawnable.
     """
     word = 0x243F6A8885A308D3
     for tag in tags:
         word = _mix(word, int(tag) & _MASK64)
-    key = np.array([int(seed) & _MASK64, word], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_Key([int(seed) & _MASK64, word])))
 
 
 def derive_seed(seed: int, *tags: int) -> int:

@@ -320,17 +320,23 @@ def substream_uniform(seed: int, tag: int, d: int, lo: float, hi: float) -> np.n
 
 
 def _build_gallagher(p: dict, d: int, instance_seed: int, n_peaks: int) -> None:
-    """Peak layout: conditioning spread, permuted scales, centers."""
+    """Peak layout (d >= 2): conditioning spread, permuted scales, centers.
+
+    The draws from the instance's AUX stream come in this order, which the
+    instance bytes depend on: one permutation of the n_peaks - 1 conditions,
+    then one ``permutation(d)`` per peak in peak order (peak i's scales are
+    ``cond_i ** linspace(-0.5, 0.5, d)`` reordered by it), then the
+    (n_peaks, d) peak uniforms.
+    """
     aux = rng.substream(instance_seed, rng.AUX)
     high_cond = math.sqrt(1000.0) if n_peaks == 101 else 1000.0
     spread = 1.0 if n_peaks == 101 else 0.98
 
     conditions = np.power(1000.0, np.linspace(0.0, 1.0, n_peaks - 1))
     conditions = np.concatenate(([high_cond], aux.permutation(conditions)))
-    scales = np.empty((n_peaks, d))
-    for i, cond in enumerate(conditions):
-        s = np.power(cond, np.linspace(-0.5, 0.5, d)) if d > 1 else np.ones(1)
-        scales[i] = aux.permutation(s)
+    scales = np.power(conditions[:, None], np.linspace(-0.5, 0.5, d)[None, :])
+    order = np.stack([aux.permutation(d) for _ in range(n_peaks)])
+    scales = np.take_along_axis(scales, order, axis=1)
 
     # Peaks are drawn in original coordinates (keeps the optimum inside the
     # box), then mapped into the rotated frame the evaluator works in.  The

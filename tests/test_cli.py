@@ -11,7 +11,7 @@ import pytest
 import funcid.cli
 import funcid.experiments
 from funcid.cli import main
-from funcid.experiments import ExperimentPreset
+from funcid.experiments import ExperimentError, ExperimentPreset
 from funcid.suite import Suite, evaluate, make_instance, problem
 
 
@@ -114,6 +114,26 @@ class TestExperiment:
         assert code == 2
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("preset, item, message", [
+        ("MultiInstanceL2", "per_class_train=1000",
+         "desk-scale dataset of 26400 images exceeds the 20000 cap"),
+        ("BaseL1DimSweep", "epochs=301", "desk-scale training of 301 epochs exceeds 300"),
+        ("DiscreteL1", "per_class_train=3400",
+         "desk-scale dataset of 20700 images exceeds the 20000 cap"),
+    ])
+    def test_desk_cap_exits_2_without_a_run_dir(self, preset, item, message, tmp_path, capsys):
+        code = main(["experiment", preset, "--out", str(tmp_path), "--set", item])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_desk_cap_counts_the_preset_suite_classes(self):
+        # 1050 images per class: over the cap for 24 BBOB classes, not for 6 discrete ones.
+        ExperimentPreset("DiscreteL1", overrides={"per_class_train": 1000})
+        ExperimentPreset("MultiInstanceL2", scale="paper", overrides={"per_class_train": 1000})
+        with pytest.raises(ExperimentError, match="26400 images"):
+            ExperimentPreset("MultiInstanceL2", overrides={"per_class_train": 1000})
 
     def test_int_override_accepted_for_float(self):
         preset = ExperimentPreset("UnseenL3Noisy", overrides={"lr": 1, "uniform_lo": -2})

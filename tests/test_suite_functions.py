@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ from funcid.suite import (
     problem,
     random_orthogonal,
 )
-from funcid.suite.bbob import _gram_schmidt, draw_rotations, random_orthogonals
+from funcid.suite.bbob import _build_gallagher, _gram_schmidt, draw_rotations, random_orthogonals
 
 BBOB = Suite.CONTINUOUS_BBOB
 PB = Suite.DISCRETE_PB
@@ -29,6 +30,7 @@ PB = Suite.DISCRETE_PB
 ORACLE_DIMS = [2, 3, 4, 5, 7, 8, 16, 22, 31, 40, 64]
 ORACLE_SEEDS = [1, 2, 17, 99, 2**62 + 11]
 STACK_SIZES = [1, 2, 5, 26]
+GALLAGHER_DIMS = [2, 3, 5, 10, 22, 40]
 
 
 def _gram_schmidt_reference(a: np.ndarray | None) -> np.ndarray | None:
@@ -49,6 +51,33 @@ def _gram_schmidt_reference(a: np.ndarray | None) -> np.ndarray | None:
             return None
         q[:, j] = v / norm
     return q
+
+
+def _build_gallagher_reference(p: dict, d: int, instance_seed: int, n_peaks: int) -> None:
+    """Per-peak Gallagher peak layout, one power and one permutation a peak.
+
+    The byte reference for ``_build_gallagher``: the f21/f22 instances behind
+    every pinned digest were first made by this loop.
+    """
+    aux = rng.substream(instance_seed, rng.AUX)
+    high_cond = math.sqrt(1000.0) if n_peaks == 101 else 1000.0
+    spread = 1.0 if n_peaks == 101 else 0.98
+
+    conditions = np.power(1000.0, np.linspace(0.0, 1.0, n_peaks - 1))
+    conditions = np.concatenate(([high_cond], aux.permutation(conditions)))
+    scales = np.empty((n_peaks, d))
+    for i, cond in enumerate(conditions):
+        s = np.power(cond, np.linspace(-0.5, 0.5, d)) if d > 1 else np.ones(1)
+        scales[i] = aux.permutation(s)
+
+    peaks = spread * aux.uniform(-5.0, 5.0, size=(n_peaks, d))
+    peaks[0] *= 0.8
+    weights = np.concatenate(([10.0], np.linspace(1.1, 9.1, n_peaks - 1)))
+
+    p["centers"] = peaks @ p["R"].T
+    p["peak_scales"] = scales
+    p["weights"] = weights
+    p["x_opt"] = peaks[0]
 
 
 # -- problem listing ---------------------------------------------------------
@@ -205,6 +234,19 @@ class TestMakeInstance:
                 if m is not None:
                     want = random_orthogonal(d, rng.substream(seed, tag))
                     assert np.array_equal(m, want) and m.flags.c_contiguous
+
+    @pytest.mark.parametrize("n_peaks", [101, 21])
+    @pytest.mark.parametrize("d", GALLAGHER_DIMS)
+    def test_gallagher_build_matches_reference_bytes(self, d, n_peaks):
+        for seed in ORACLE_SEEDS:
+            r_mat = random_orthogonal(d, rng.substream(seed, rng.ROTATION_R))
+            got, want = {"R": r_mat}, {"R": r_mat}
+            _build_gallagher(got, d, seed, n_peaks)
+            _build_gallagher_reference(want, d, seed, n_peaks)
+            assert got.keys() == want.keys()
+            for name in ("centers", "peak_scales", "weights", "x_opt"):
+                assert got[name].shape == want[name].shape, (seed, name)
+                assert got[name].tobytes() == want[name].tobytes(), (seed, name)
 
     @pytest.mark.parametrize("seed", [0, 7, 2**62 + 11])
     def test_supplied_rotations_give_the_same_instance(self, seed):
