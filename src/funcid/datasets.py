@@ -427,7 +427,9 @@ def save(ds: Dataset, path: str | Path) -> None:
 def load(path: str | Path) -> Dataset:
     """Read a dataset back, verifying structure and content digest.
 
-    The sidecar manifest's digest must equal the file's content digest.
+    The sidecar manifest's digest must equal the file's content digest, and
+    the manifest must agree with the header: frame size, class count, and
+    one record and one image seed per image.  Every label must name a class.
 
     Pixels and labels round-trip bit-exactly.  Per-image query costs are a
     generation-time diagnostic and come back as zero counters.
@@ -455,13 +457,31 @@ def load(path: str | Path) -> Dataset:
     if manifest.digest != file_digest.hex():
         raise DigestMismatchError(f"{manifest_path}: manifest digest does not match {path}")
 
+    if m != manifest.spec.encoder.frame_size:
+        raise DatasetFormatError(
+            f"{path}: header frame size {m}, manifest {manifest.spec.encoder.frame_size}"
+        )
+    if class_count != manifest.class_count:
+        raise DatasetFormatError(
+            f"{path}: header class count {class_count}, manifest {manifest.class_count}"
+        )
+    if not count == manifest.size == len(manifest.image_seeds):
+        raise DatasetFormatError(
+            f"{path}: {count} records, manifest size {manifest.size},"
+            f" {len(manifest.image_seeds)} image seeds"
+        )
+    # The uint16 label at the head of every record, as one strided view.
+    label_column = np.ndarray((count,), dtype="<u2", buffer=record_stream, strides=(record_size,))
+    if count and int(label_column.max()) >= class_count:
+        raise DatasetFormatError(
+            f"{path}: label {int(label_column.max())} out of range for {class_count} classes"
+        )
+
     images: list[LandscapeImage] = []
-    labels: list[int] = []
+    labels = label_column.tolist()
     image_type = manifest.spec.encoder.image_type
-    seeds = manifest.image_seeds or [0] * count
-    for i in range(count):
+    for i, (label, seed) in enumerate(zip(labels, manifest.image_seeds)):
         offset = i * record_size
-        (label,) = struct.unpack_from("<H", record_stream, offset)
         pixels = np.frombuffer(
             record_stream, dtype="<f4", count=m * m, offset=offset + 2
         ).reshape(m, m)
@@ -469,10 +489,9 @@ def load(path: str | Path) -> Dataset:
             LandscapeImage(
                 pixels=pixels.copy(),
                 label=label + 1,
-                instance_seed=seeds[i] if i < len(seeds) else 0,
+                instance_seed=seed,
                 image_type=image_type,
                 query_cost=EvalCounter(),
             )
         )
-        labels.append(int(label))
     return Dataset(images=images, labels=labels, manifest=manifest)

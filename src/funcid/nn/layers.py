@@ -10,9 +10,31 @@ Layers with parameters (``Dense``, ``Conv2D``) also take
 ``backward(grad_y, cache, need_dx=False)``, which returns ``(None,
 param_grads)`` and skips the input-gradient product.  ``Network.backward``
 passes it to the lowest such layer, whose input gradient nothing consumes.
+
+``Conv2D`` lowers convolution to GEMM, and trained weights depend on the
+order of its operations, so that order is pinned.  Only the data movement
+around the products may change:
+
+* ``cols`` is a C-contiguous (B, L, C*k*k) copy of the input, L = ho*wo in
+  row-major (oy, ox) order and K in (c, i, j) order, matching ``W``'s
+  (channels, C, k, k) layout.  It is a pure gather, exact in any form;
+* the forward output is ``cols @ W_mat`` with ``W_mat`` the transposed
+  (channels, C*k*k) view of ``W``; the bias is added after the product,
+  one add per element;
+* ``flat_gy`` is the output gradient as C-contiguous (B*L, channels) rows,
+  in (b, oy, ox) order.  ``dW`` is one GEMM ``flat_cols.T @ flat_gy`` over
+  all B*L rows, and ``db`` is the column sum of ``flat_gy``, row by row;
+* the input gradient's products are the per-sample ``W_mat.T @ gy[b]``,
+  (C*k*k, channels) @ (channels, L), in one batched matmul.  One 2-D
+  product over all L*B columns is not equivalent: the BLAS picks its kernel
+  and its edge handling by shape, and in float64 the last columns of an odd
+  batch come out different.  col2im accumulates the k*k taps into a zeroed
+  buffer, i-major and j-minor, from +0.0.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -81,6 +103,23 @@ class Dense(Layer):
         return {"kind": "Dense", "args": {"units": self.units}}
 
 
+@functools.lru_cache(maxsize=8)
+def _im2col_index(c: int, h: int, w: int, k: int) -> np.ndarray:
+    """Read-only (L, C*k*k) offsets into a flat (C, H, W) sample: ``cols``'s
+    element (l, (c, i, j)) with l = oy*wo + ox reads x[c, oy + i, ox + j]."""
+    ho, wo = h - k + 1, w - k + 1
+    oy = np.arange(ho).reshape(ho, 1, 1, 1, 1)
+    ox = np.arange(wo).reshape(1, wo, 1, 1, 1)
+    ch = np.arange(c).reshape(1, 1, c, 1, 1)
+    i = np.arange(k).reshape(1, 1, 1, k, 1)
+    j = np.arange(k).reshape(1, 1, 1, 1, k)
+    index = (ch * h * w + (oy + i) * w + (ox + j)).reshape(ho * wo, c * k * k).astype(np.intp)
+    if index.size == 0 or index.min() < 0 or index.max() >= c * h * w:
+        raise LayerError(f"im2col index out of range for input {(c, h, w)}, kernel {k}")
+    index.flags.writeable = False
+    return index
+
+
 class Conv2D(Layer):
     """Valid 2-D convolution, stride 1, via im2col."""
 
@@ -108,23 +147,19 @@ class Conv2D(Layer):
         k = self.kernel
         return (self.channels, h - k + 1, w - k + 1)
 
-    def _im2col(self, x):
+    def forward(self, x):
         b, c, h, w = x.shape
         k = self.kernel
         ho, wo = h - k + 1, w - k + 1
-        s = x.strides
-        view = np.lib.stride_tricks.as_strided(
-            x, (b, c, ho, wo, k, k), (s[0], s[1], s[2], s[3], s[2], s[3])
-        )
-        # (B, L, C*k*k) with L = ho*wo
-        return view.transpose(0, 2, 3, 1, 4, 5).reshape(b, ho * wo, c * k * k)
-
-    def forward(self, x):
-        b = x.shape[0]
-        _, ho, wo = self.out_shape(x.shape[1:])
-        cols = self._im2col(x)
-        w_mat = self.params["W"].reshape(self.channels, -1).T
-        y = cols @ w_mat + self.params["b"]
+        index = _im2col_index(c, h, w, k)
+        # Every index is in range (checked once, when built), so "wrap"
+        # never wraps; it is the fastest of np.take's modes for this gather.
+        cols = np.take(x.reshape(b, c * h * w), index, axis=1, mode="wrap")
+        y = cols @ self.params["W"].reshape(self.channels, -1).T
+        # One bias row over the contiguous (L, channels) block of a sample,
+        # rather than a broadcast with a channels-long inner loop.
+        rows = y.reshape(b, ho * wo * self.channels)
+        rows += np.tile(self.params["b"], ho * wo)
         y = y.transpose(0, 2, 1).reshape(b, self.channels, ho, wo)
         return y, (x.shape, cols)
 
@@ -142,15 +177,16 @@ class Conv2D(Layer):
         }
         if not need_dx:
             return None, grads
-        # col2im: (C*k*k, L) per sample, so each kernel tap (i, j) reads a
-        # slice whose (ho, wo) axes are contiguous.
+        # col2im with the batch innermost: each tap (i, j) of the per-sample
+        # (C*k*k, L) products adds into contiguous (wo, B) rows of a
+        # (C, H, W, B) buffer, read through a transposed view, not a copy.
         dcols = self.params["W"].reshape(self.channels, -1).T @ gy
-        taps = dcols.reshape(b, c, k, k, ho, wo)
-        dx = np.zeros(x_shape, dtype=grad_y.dtype)
+        taps = dcols.reshape(b, c, k, k, ho, wo).transpose(1, 2, 3, 4, 5, 0)
+        dx = np.zeros((c, h, w, b), dtype=grad_y.dtype)
         for i in range(k):
             for j in range(k):
-                dx[:, :, i : i + ho, j : j + wo] += taps[:, :, i, j]
-        return dx, grads
+                dx[:, i : i + ho, j : j + wo] += taps[:, i, j]
+        return dx.transpose(3, 0, 1, 2), grads
 
     def spec(self):
         return {"kind": "Conv2D", "args": {"channels": self.channels, "kernel": self.kernel}}

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -378,6 +380,56 @@ class TestSaveLoad:
         back = load(path)
         assert len(back) == 0
         assert back.manifest.digest == empty.manifest.digest
+
+    @staticmethod
+    def _saved(tmp_path, train=2):
+        ds = build_dataset(small_spec(train=train, test=0))["train"]
+        path = tmp_path / "data.limg"
+        save(ds, path)
+        return path, tmp_path / "data.limg.manifest.json"
+
+    @staticmethod
+    def _edit_manifest(sidecar, edit):
+        manifest = json.loads(sidecar.read_text(encoding="utf-8"))
+        edit(manifest)
+        sidecar.write_text(json.dumps(manifest), encoding="utf-8")
+
+    def test_header_class_count_must_match_manifest(self, tmp_path):
+        path, _ = self._saved(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[8:10] = struct.pack("<H", 7)  # the manifest says 24 classes
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DatasetFormatError, match="class count 7, manifest 24"):
+            load(path)
+
+    def test_header_frame_size_must_match_manifest(self, tmp_path):
+        path, sidecar = self._saved(tmp_path)
+        self._edit_manifest(sidecar, lambda m: m["spec"]["encoder"].update(frame_size=16))
+        with pytest.raises(DatasetFormatError, match="frame size 8, manifest 16"):
+            load(path)
+
+    def test_manifest_size_must_match_record_count(self, tmp_path):
+        path, sidecar = self._saved(tmp_path)
+        self._edit_manifest(sidecar, lambda m: m.update(size=999))
+        with pytest.raises(DatasetFormatError, match="48 records, manifest size 999"):
+            load(path)
+
+    def test_image_seeds_must_match_record_count(self, tmp_path):
+        path, sidecar = self._saved(tmp_path)
+        self._edit_manifest(sidecar, lambda m: m.update(image_seeds=m["image_seeds"][:3]))
+        with pytest.raises(DatasetFormatError, match="3 image seeds"):
+            load(path)
+
+    def test_label_must_name_a_class(self, tmp_path):
+        path, sidecar = self._saved(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[18:20] = struct.pack("<H", 24)  # first record's label; classes are 0..23
+        digest = hashlib.sha256(bytes(raw[18:-32])).digest()
+        raw[-32:] = digest
+        path.write_bytes(bytes(raw))
+        self._edit_manifest(sidecar, lambda m: m.update(digest=digest.hex()))
+        with pytest.raises(DatasetFormatError, match="label 24 out of range for 24 classes"):
+            load(path)
 
     def test_binary_layout(self, tmp_path):
         ds = build_dataset(small_spec(train=2, test=0))["train"]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import types
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from funcid.nn import (
     softmax,
     train,
 )
-from funcid.nn.layers import AvgPool2D, Conv2D, Dense, ReLU, Tanh
+from funcid.nn.layers import AvgPool2D, Conv2D, Dense, ReLU, Tanh, _im2col_index
 from funcid.nn.training import _make_stepper
 
 
@@ -232,7 +234,10 @@ class TestGradientOracle:
 # The functions below keep the straightforward forms of the training step:
 # ``mean`` over transposed pooling windows, col2im through a 6-D transpose, a
 # backward descent through every layer, and an Adam step built from
-# temporaries.  The fast paths must reproduce their bytes.
+# temporaries.  ``legacy_conv_forward``/``legacy_conv_backward`` keep the
+# earlier Conv2D data movement: the as-strided im2col, the broadcast bias add
+# and the per-sample ``W.T @ gy`` col2im.  The fast paths must reproduce
+# their bytes.
 
 
 def reference_avgpool_forward(layer, x):
@@ -257,6 +262,53 @@ def reference_conv_backward(layer, grad_y, cache):
     for i in range(k):
         for j in range(k):
             dx[:, :, i : i + ho, j : j + wo] += dcols[:, :, :, :, i, j]
+    return dx, grads
+
+
+def legacy_im2col(layer, x):
+    b, c, h, w = x.shape
+    k = layer.kernel
+    ho, wo = h - k + 1, w - k + 1
+    s = x.strides
+    view = np.lib.stride_tricks.as_strided(
+        x, (b, c, ho, wo, k, k), (s[0], s[1], s[2], s[3], s[2], s[3])
+    )
+    # (B, L, C*k*k) with L = ho*wo
+    return view.transpose(0, 2, 3, 1, 4, 5).reshape(b, ho * wo, c * k * k)
+
+
+def legacy_conv_forward(layer, x):
+    b = x.shape[0]
+    _, ho, wo = layer.out_shape(x.shape[1:])
+    cols = legacy_im2col(layer, x)
+    w_mat = layer.params["W"].reshape(layer.channels, -1).T
+    y = cols @ w_mat + layer.params["b"]
+    y = y.transpose(0, 2, 1).reshape(b, layer.channels, ho, wo)
+    return y, (x.shape, cols)
+
+
+def legacy_conv_backward(layer, grad_y, cache, need_dx=True):
+    x_shape, cols = cache
+    b, c, h, w = x_shape
+    k = layer.kernel
+    ho, wo = h - k + 1, w - k + 1
+    gy = grad_y.reshape(b, layer.channels, ho * wo)
+    flat_cols = cols.reshape(-1, c * k * k)
+    flat_gy = gy.transpose(0, 2, 1).reshape(-1, layer.channels)
+    grads = {
+        "W": (flat_cols.T @ flat_gy).T.reshape(layer.params["W"].shape),
+        "b": flat_gy.sum(axis=0),
+    }
+    if not need_dx:
+        return None, grads
+    # col2im: (C*k*k, L) per sample, so each kernel tap (i, j) reads a
+    # slice whose (ho, wo) axes are contiguous.
+    dcols = layer.params["W"].reshape(layer.channels, -1).T @ gy
+    taps = dcols.reshape(b, c, k, k, ho, wo)
+    dx = np.zeros(x_shape, dtype=grad_y.dtype)
+    for i in range(k):
+        for j in range(k):
+            dx[:, :, i : i + ho, j : j + wo] += taps[:, :, i, j]
     return dx, grads
 
 
@@ -403,6 +455,83 @@ class TestReferenceOracles:
             slow_step(loss_and_grads(slow, x, y)[1])
         for (_, _, a), (_, _, b) in zip(fast.parameters(), slow.parameters()):
             assert_same_bytes(a, b)
+
+
+def channel_last(a):
+    """A copy of a (B, C, H, W) array laid out (B, H, W, C) in memory."""
+    out = np.empty((a.shape[0], a.shape[2], a.shape[3], a.shape[1]), dtype=a.dtype)
+    out[...] = a.transpose(0, 2, 3, 1)
+    return out.transpose(0, 3, 1, 2)
+
+
+# (C, frame, k) -> output channels: conv1 and conv2 of LeNet-5 at M = 32, and
+# a small odd-sized case.
+CONV_CASES = {(1, 32, 5): 6, (6, 14, 5): 16, (3, 9, 3): 4}
+
+
+class TestConvDataMovement:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(CONV_CASES))
+    @pytest.mark.parametrize("batch", [1, 2, 7, 63, 64, 240])
+    def test_matches_legacy(self, batch, case, dtype):
+        c, frame, k = case
+        conv = Conv2D(CONV_CASES[case], k)
+        conv.init((c, frame, frame), np.random.default_rng(0), dtype)
+        gen = np.random.default_rng([batch, c, frame, k])
+        conv.params["b"][...] = gen.standard_normal(conv.channels)
+        x = gen.standard_normal((batch, c, frame, frame)).astype(dtype)
+        x[x < -1.5] = 0.0
+        x[x > 1.5] = -0.0
+        for x_in in (x, channel_last(x)):
+            y, cache = conv.forward(x_in)
+            ref_y, ref_cache = legacy_conv_forward(conv, x_in)
+            assert_same_bytes(y, ref_y)
+            assert_same_bytes(cache[1], ref_cache[1])
+            assert cache[0] == ref_cache[0]
+            # A ReLU-masked gradient, contiguous and in the channel-last
+            # layout the forward pass leaves; the mask leaves +0.0 and -0.0.
+            grad_y = np.ascontiguousarray(gen.standard_normal(y.shape).astype(dtype) * (y > 0))
+            for g in (grad_y, channel_last(grad_y)):
+                assert (np.signbit(g) & (g == 0)).any() and (~np.signbit(g) & (g == 0)).any()
+                dx, grads = conv.backward(g, cache)
+                ref_dx, ref_grads = legacy_conv_backward(conv, g, ref_cache)
+                assert_same_bytes(dx, ref_dx)
+                no_dx, grads_only = conv.backward(g, cache, need_dx=False)
+                assert no_dx is None
+                for name in ("W", "b"):
+                    assert_same_bytes(grads[name], ref_grads[name])
+                    assert_same_bytes(grads_only[name], ref_grads[name])
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("activation,pooling", [("relu", "avg"), ("tanh", "avg"), ("relu", "max")])
+    def test_training_matches_legacy(self, activation, pooling, dtype):
+        # 65 images at batch 64: each epoch ends with a 1-image batch, which
+        # runs the B = 1 GEMM shapes.
+        gen = np.random.default_rng(8)
+        x = gen.random((65, 32, 32)).astype(np.float32)
+        y = gen.integers(0, 4, 65)
+        cfg = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=64, seed=2, optimizer="adam")
+        kwargs = {"activation": activation, "pooling": pooling, "dtype": dtype}
+        fast = init_model("lenet5", 4, 32, seed=5, **kwargs)
+        legacy = init_model("lenet5", 4, 32, seed=5, **kwargs)
+        for layer in legacy.layers:
+            if isinstance(layer, Conv2D):
+                layer.forward = types.MethodType(legacy_conv_forward, layer)
+                layer.backward = types.MethodType(legacy_conv_backward, layer)
+        fast_best, fast_report = train(fast, (x, y), None, cfg)
+        legacy_best, legacy_report = train(legacy, (x, y), None, cfg)
+        assert fast_report.train_loss == legacy_report.train_loss
+        assert fast_report.best_epoch == legacy_report.best_epoch
+        for net_a, net_b in ((fast, legacy), (fast_best, legacy_best)):
+            for (_, _, a), (_, _, b) in zip(net_a.parameters(), net_b.parameters()):
+                assert_same_bytes(a, b)
+
+    def test_im2col_index_is_cached_and_read_only(self):
+        index = _im2col_index(6, 14, 14, 5)
+        assert _im2col_index(6, 14, 14, 5) is index
+        assert index.shape == (100, 150) and index.dtype == np.intp
+        assert not index.flags.writeable
+        assert index.min() == 0 and index.max() == 6 * 14 * 14 - 1
 
 
 # -- training -------------------------------------------------------------------
