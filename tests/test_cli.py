@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 import funcid.cli
 import funcid.experiments
 from funcid.cli import main
+from funcid.datasets import load
 from funcid.experiments import ExperimentError, ExperimentPreset
 from funcid.suite import Suite, evaluate, make_instance, problem
 
@@ -229,6 +232,35 @@ class TestGenerateTrainEval:
         assert main(["eval", "--model", str(model), "--data", str(test_limg)]) == 1
         err = capsys.readouterr().err
         assert err.count("runtime failure: ") == 2
+
+
+class TestExportPng:
+    def test_one_preview_per_class_from_its_first_train_image(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # A stand-in pillow and a recording write_png: only the selection of
+        # the previews is under test here.
+        fake = types.ModuleType("PIL")
+        fake.Image = types.ModuleType("PIL.Image")
+        monkeypatch.setitem(sys.modules, "PIL", fake)
+        written: list[tuple[Path, np.ndarray]] = []
+        monkeypatch.setattr(funcid.cli, "write_png",
+                            lambda path, pixels: written.append((Path(path), np.array(pixels))))
+        out = tmp_path / "data"
+        assert main(["generate", "--dim", "2", "--n", "4", "--frame", "8", "--type", "3",
+                     "--per-class", "3", "--per-class-test", "1", "--jobs", "1",
+                     "--out", str(out), "--export-png"]) == 0
+        assert f"previews: {out / 'preview'}" in capsys.readouterr().out
+
+        pixels, labels = load(out / "train.limg").arrays()
+        expected = {}
+        for label, image in zip(labels, pixels):  # shuffled train order
+            expected.setdefault(f"class_{label + 1:02d}_type3.png", image)
+        assert len(expected) == 24
+        assert sorted(path.name for path, _ in written) == sorted(expected)
+        for path, image in written:
+            assert path.parent == out / "preview"
+            assert image.dtype == np.float32
+            assert image.tobytes() == expected[path.name].tobytes()
 
 
 class TestConfigPrecedence:
