@@ -30,7 +30,7 @@ from .datasets import (
     load,
     save,
 )
-from .encoder import DomainMap, EncoderConfig, EncoderError, ImageType, write_png
+from .encoder import DomainMap, EncoderConfig, EncoderError, ImageType, pillow_image, write_png
 from .experiments import (
     ExperimentError,
     ExperimentPreset,
@@ -149,6 +149,8 @@ def _cmd_generate(args) -> int:
             uniform_hi=args.uniform_hi,
         ),
     )
+    if args.export_png:
+        pillow_image()  # fail before anything is built or written
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     splits = build_dataset(spec, jobs=args.jobs)
@@ -160,11 +162,11 @@ def _cmd_generate(args) -> int:
     if args.export_png:
         preview = out / "preview"
         preview.mkdir(exist_ok=True)
-        seen = set()
-        for img in splits["train"].images:
-            if img.label not in seen:
-                seen.add(img.label)
-                write_png(preview / f"class_{img.label:02d}_type{int(img.image_type)}.png", img.pixels)
+        train_ds, image_type = splits["train"], int(spec.encoder.image_type)
+        # One preview per class: its first image in the shuffled train order.
+        classes, first = np.unique(train_ds.labels, return_index=True)
+        for label, i in zip(classes + 1, first):
+            write_png(preview / f"class_{label:02d}_type{image_type}.png", train_ds.pixels[i])
         print(f"previews: {preview}")
     return 0
 

@@ -3,7 +3,8 @@
 Generation realizes the high-level pipeline: per class and replicate an
 instance is selected according to the learning regime, one image is
 constructed with a fresh sample seed, and each split is shuffled in
-lockstep with its labels.  Three regimes are supported:
+lockstep with its labels.  A split is held column-wise: one (n, M, M)
+float32 pixel array and one (n,) label array.  Three regimes are supported:
 
   L1  one fixed instance per function,
   L2  a fixed pool of instances per function, cycled over replicates,
@@ -12,7 +13,10 @@ lockstep with its labels.  Three regimes are supported:
 
 Datasets serialize to a little-endian binary container (magic ``LIMG``)
 with a SHA-256 content digest, plus a JSON sidecar manifest recording the
-spec, sizes, and every seed needed to regenerate the file bit-exactly.
+spec, sizes, and every seed needed to regenerate the file bit-exactly.  The
+manifest lists each image's instance seed in file order; an image's sample
+seed is not stored, because it is re-derived from the master seed, split,
+class and replicate.
 """
 
 from __future__ import annotations
@@ -22,14 +26,14 @@ import hashlib
 import json
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import rng
-from .encoder import EncoderConfig, ImageType, LandscapeImage, construct_image
-from .suite import EvalCounter, Suite, draw_rotations, list_functions, make_instance
+from .encoder import EncoderConfig, ImageType, construct_image
+from .suite import Suite, draw_rotations, list_functions, make_instance
 
 
 class Regime(enum.Enum):
@@ -108,6 +112,8 @@ class DatasetManifest:
     class_count: int
     instance_seeds: dict[int, list[int]]
     unseen_instance_seeds: dict[int, list[int]]
+    # Each image's instance seed, in file order.  Sample seeds are re-derived
+    # from the master seed, split, class and replicate.
     image_seeds: list[int]
     noise_applied: list[str]
     digest: str
@@ -144,20 +150,16 @@ class DatasetManifest:
 
 @dataclass
 class Dataset:
-    images: list[LandscapeImage]
-    labels: list[int]
+    pixels: np.ndarray  # (n, M, M) float32
+    labels: np.ndarray  # (n,) int64, 0-based class indices
     manifest: DatasetManifest
 
     def __len__(self) -> int:
-        return len(self.images)
+        return len(self.labels)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked (n, M, M) float32 pixels and (n,) int64 labels."""
-        m = self.manifest.spec.encoder.frame_size
-        if not self.images:
-            return np.zeros((0, m, m), dtype=np.float32), np.zeros(0, dtype=np.int64)
-        pixels = np.stack([img.pixels for img in self.images])
-        return pixels, np.asarray(self.labels, dtype=np.int64)
+        """The (n, M, M) float32 pixels and (n,) int64 labels."""
+        return self.pixels, self.labels
 
 
 def spec_to_dict(spec: DatasetSpec) -> dict:
@@ -286,37 +288,41 @@ def build_dataset(spec: DatasetSpec, jobs: int = 1) -> dict[str, Dataset]:
         for key, prob in problems.items()
     }
 
+    m = spec.encoder.frame_size
     out: dict[str, Dataset] = {}
     for split, plan in plans.items():
         tag = _SPLIT_TAGS[split]
+        pixels = np.empty((len(plan), m, m), dtype=np.float32)
 
-        def _make(task):
-            prob, inst_seed, sample_seed = task
-            return construct_image(instances[prob.index, inst_seed], spec.encoder, sample_seed)
+        def _make(i):
+            prob, inst_seed, sample_seed = plan[i]
+            image = construct_image(instances[prob.index, inst_seed], spec.encoder, sample_seed)
+            pixels[i] = image.pixels
 
         if jobs > 1 and plan:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
-                images = list(pool.map(_make, plan))
+                list(pool.map(_make, range(len(plan))))
         else:
-            images = [_make(t) for t in plan]
-        labels = [img.label - 1 for img in images]
-        image_seeds = [t[1] for t in plan]
+            for i in range(len(plan)):
+                _make(i)
+        labels = np.array([prob.index - 1 for prob, _, _ in plan], dtype=np.int64)
+        image_seeds = np.array([inst_seed for _, inst_seed, _ in plan], dtype=np.int64)
 
-        images, labels, image_seeds = shuffle_sync(
-            images, labels, rng.derive_seed(spec.master_seed, rng.SHUFFLE, tag), image_seeds
+        pixels, labels, image_seeds = shuffle_sync(
+            pixels, labels, rng.derive_seed(spec.master_seed, rng.SHUFFLE, tag), image_seeds
         )
         manifest = DatasetManifest(
             spec=spec,
             split=split,
-            size=len(images),
+            size=len(labels),
             class_count=spec.class_count,
             instance_seeds=train_seeds,
             unseen_instance_seeds=unseen_seeds,
-            image_seeds=image_seeds,
+            image_seeds=image_seeds.tolist(),
             noise_applied=[],
-            digest=content_digest(images, labels),
+            digest=content_digest(pixels, labels),
         )
-        ds = Dataset(images=images, labels=labels, manifest=manifest)
+        ds = Dataset(pixels=pixels, labels=labels, manifest=manifest)
         if spec.noise.kind is NoiseKind.GAUSSIAN_HALF_MAX:
             ds = add_gaussian_noise(ds, rng.derive_seed(spec.master_seed, rng.NOISE, tag))
         elif spec.noise.kind is NoiseKind.UNIFORM_RANGE:
@@ -339,34 +345,33 @@ def _fisher_yates(n: int, seed: int) -> np.ndarray:
     return idx
 
 
-def shuffle_sync(images: list, labels: list, seed: int, *parallel: list) -> tuple[list, ...]:
-    """Permute images, labels and any further parallel lists by one seeded
-    Fisher-Yates pass."""
-    lists = (images, labels, *parallel)
-    if len({len(x) for x in lists}) > 1:
-        raise DatasetError(f"length mismatch: lists of lengths {[len(x) for x in lists]}")
-    idx = _fisher_yates(len(images), seed)
-    return tuple([x[i] for i in idx] for x in lists)
+def shuffle_sync(pixels: np.ndarray, labels: np.ndarray, seed: int,
+                 *parallel: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Permute pixels, labels and any further parallel arrays along their
+    first axis by one seeded Fisher-Yates pass."""
+    arrays = (pixels, labels, *parallel)
+    if len({len(x) for x in arrays}) > 1:
+        raise DatasetError(f"length mismatch: arrays of lengths {[len(x) for x in arrays]}")
+    idx = _fisher_yates(len(labels), seed)
+    return tuple(np.asarray(x)[idx] for x in arrays)
 
 
-def content_digest(images: list[LandscapeImage], labels: list[int]) -> str:
-    """SHA-256 over the label/pixel byte stream, hex-encoded."""
-    h = hashlib.sha256()
-    for img, label in zip(images, labels):
-        h.update(struct.pack("<H", label))
-        h.update(np.ascontiguousarray(img.pixels, dtype="<f4").tobytes())
-    return h.hexdigest()
+def _record_dtype(m: int) -> np.dtype:
+    """One LIMG record: a little-endian uint16 label, then the M x M
+    little-endian float32 pixels."""
+    return np.dtype([("label", "<u2"), ("px", "<f4", (m, m))])
 
 
-def _with_new_pixels(ds: Dataset, new_pixels: list[np.ndarray], note: str) -> Dataset:
-    images = [replace(img, pixels=pix) for img, pix in zip(ds.images, new_pixels)]
-    labels = list(ds.labels)
-    manifest = replace(
-        ds.manifest,
-        noise_applied=ds.manifest.noise_applied + [note],
-        digest=content_digest(images, labels),
-    )
-    return Dataset(images=images, labels=labels, manifest=manifest)
+def _records(pixels: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    records = np.empty(len(labels), dtype=_record_dtype(pixels.shape[-1]))
+    records["label"] = labels
+    records["px"] = pixels
+    return records
+
+
+def content_digest(pixels: np.ndarray, labels: np.ndarray) -> str:
+    """SHA-256 over the label/pixel record stream, hex-encoded."""
+    return hashlib.sha256(_records(pixels, labels)).hexdigest()
 
 
 def add_gaussian_noise(ds: Dataset, seed: int, amplitude: float | None = None) -> Dataset:
@@ -375,49 +380,51 @@ def add_gaussian_noise(ds: Dataset, seed: int, amplitude: float | None = None) -
     Each image draws its own amplitude u in [0,1) (overridable for tests);
     sigma = u * max(pixels)/2, clamped at zero for non-positive maxima.
     """
-    new_pixels = []
-    for i, img in enumerate(ds.images):
+    noisy = np.empty_like(ds.pixels)
+    for i, pixels in enumerate(ds.pixels):
         g = rng.substream(seed, rng.NOISE, i)
         u = float(g.random()) if amplitude is None else amplitude
-        sigma = max(float(img.pixels.max()), 0.0) / 2.0 * u if img.pixels.size else 0.0
+        sigma = max(float(pixels.max()), 0.0) / 2.0 * u
         if sigma > 0.0:
-            noisy = img.pixels.astype(np.float64) + g.normal(0.0, sigma, img.pixels.shape)
-            new_pixels.append(noisy.astype(np.float32))
+            noisy[i] = pixels.astype(np.float64) + g.normal(0.0, sigma, pixels.shape)
         else:
-            new_pixels.append(img.pixels)
-    return _with_new_pixels(ds, new_pixels, f"gaussian_half_max(seed={seed})")
+            noisy[i] = pixels
+    manifest = replace(
+        ds.manifest,
+        noise_applied=[*ds.manifest.noise_applied, f"gaussian_half_max(seed={seed})"],
+        digest=content_digest(noisy, ds.labels),
+    )
+    return Dataset(pixels=noisy, labels=ds.labels, manifest=manifest)
 
 
 def add_uniform_noise(ds: Dataset, lo: float, hi: float, seed: int) -> Dataset:
     """Additive i.i.d. uniform [lo, hi] noise on every pixel."""
     if lo > hi:
         raise DatasetError(f"uniform noise range [{lo}, {hi}] is inverted")
-    new_pixels = []
-    for i, img in enumerate(ds.images):
+    noisy = np.empty_like(ds.pixels)
+    for i, pixels in enumerate(ds.pixels):
         g = rng.substream(seed, rng.NOISE, i)
-        noisy = img.pixels.astype(np.float64) + g.uniform(lo, hi, img.pixels.shape)
-        new_pixels.append(noisy.astype(np.float32))
-    return _with_new_pixels(ds, new_pixels, f"uniform({lo},{hi},seed={seed})")
+        noisy[i] = pixels.astype(np.float64) + g.uniform(lo, hi, pixels.shape)
+    manifest = replace(
+        ds.manifest,
+        noise_applied=[*ds.manifest.noise_applied, f"uniform({lo},{hi},seed={seed})"],
+        digest=content_digest(noisy, ds.labels),
+    )
+    return Dataset(pixels=noisy, labels=ds.labels, manifest=manifest)
 
 
 _MAGIC = b"LIMG"
 _VERSION = 1
+_HEADER = struct.Struct("<4sHHHQ")  # magic, version, M, class count, record count
 
 
 def save(ds: Dataset, path: str | Path) -> None:
     """Write the binary container and its JSON manifest sidecar."""
     path = Path(path)
     m = ds.manifest.spec.encoder.frame_size
-    body = bytearray()
-    body += _MAGIC
-    body += struct.pack("<HHHQ", _VERSION, m, ds.manifest.class_count, len(ds.images))
-    record_stream = bytearray()
-    for img, label in zip(ds.images, ds.labels):
-        record_stream += struct.pack("<H", label)
-        record_stream += np.ascontiguousarray(img.pixels, dtype="<f4").tobytes()
-    body += record_stream
-    body += hashlib.sha256(bytes(record_stream)).digest()
-    path.write_bytes(bytes(body))
+    header = _HEADER.pack(_MAGIC, _VERSION, m, ds.manifest.class_count, len(ds))
+    records = _records(ds.pixels, ds.labels).tobytes()
+    path.write_bytes(header + records + hashlib.sha256(records).digest())
     manifest_path = path.with_suffix(path.suffix + ".manifest.json")
     manifest_path.write_text(
         json.dumps(ds.manifest.to_dict(), indent=2, sort_keys=True), encoding="utf-8"
@@ -430,25 +437,22 @@ def load(path: str | Path) -> Dataset:
     The sidecar manifest's digest must equal the file's content digest, and
     the manifest must agree with the header: frame size, class count, and
     one record and one image seed per image.  Every label must name a class.
-
-    Pixels and labels round-trip bit-exactly.  Per-image query costs are a
-    generation-time diagnostic and come back as zero counters.
+    Pixels and labels round-trip bit-exactly.
     """
     path = Path(path)
     raw = path.read_bytes()
-    if len(raw) < 4 + 14 + 32:
+    if len(raw) < _HEADER.size + 32:
         raise DatasetFormatError(f"{path}: truncated file ({len(raw)} bytes)")
-    if raw[:4] != _MAGIC:
-        raise DatasetFormatError(f"{path}: bad magic {raw[:4]!r}")
-    version, m, class_count, count = struct.unpack("<HHHQ", raw[4:18])
+    magic, version, m, class_count, count = _HEADER.unpack_from(raw)
+    if magic != _MAGIC:
+        raise DatasetFormatError(f"{path}: bad magic {magic!r}")
     if version != _VERSION:
         raise DatasetFormatError(f"{path}: unsupported version {version}")
-    record_size = 2 + 4 * m * m
-    expected = 18 + record_size * count + 32
+    record = _record_dtype(m)
+    expected = _HEADER.size + record.itemsize * count + 32
     if len(raw) != expected:
         raise DatasetFormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    record_stream = raw[18:-32]
-    file_digest = hashlib.sha256(record_stream).digest()
+    file_digest = hashlib.sha256(memoryview(raw)[_HEADER.size : -32]).digest()
     if file_digest != raw[-32:]:
         raise DigestMismatchError(f"{path}: content digest mismatch")
 
@@ -470,28 +474,10 @@ def load(path: str | Path) -> Dataset:
             f"{path}: {count} records, manifest size {manifest.size},"
             f" {len(manifest.image_seeds)} image seeds"
         )
-    # The uint16 label at the head of every record, as one strided view.
-    label_column = np.ndarray((count,), dtype="<u2", buffer=record_stream, strides=(record_size,))
-    if count and int(label_column.max()) >= class_count:
+    records = np.frombuffer(raw, dtype=record, count=count, offset=_HEADER.size)
+    labels = records["label"].astype(np.int64)
+    if count and labels.max() >= class_count:
         raise DatasetFormatError(
-            f"{path}: label {int(label_column.max())} out of range for {class_count} classes"
+            f"{path}: label {labels.max()} out of range for {class_count} classes"
         )
-
-    images: list[LandscapeImage] = []
-    labels = label_column.tolist()
-    image_type = manifest.spec.encoder.image_type
-    for i, (label, seed) in enumerate(zip(labels, manifest.image_seeds)):
-        offset = i * record_size
-        pixels = np.frombuffer(
-            record_stream, dtype="<f4", count=m * m, offset=offset + 2
-        ).reshape(m, m)
-        images.append(
-            LandscapeImage(
-                pixels=pixels.copy(),
-                label=label + 1,
-                instance_seed=seed,
-                image_type=image_type,
-                query_cost=EvalCounter(),
-            )
-        )
-    return Dataset(images=images, labels=labels, manifest=manifest)
+    return Dataset(pixels=records["px"].astype(np.float32), labels=labels, manifest=manifest)

@@ -14,7 +14,7 @@ The five layouts frame it into an M x M picture:
           row-wise.
 
 Pixels hold raw objective values as float32; normalization is left to
-training time (`finalize_pixels`).
+training time.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .nn.network import min_max
 from .suite import EvalCounter, FunctionInstance, Suite, evaluate
 
 
@@ -201,26 +202,8 @@ def construct_image(
     )
 
 
-class PixelFinalize(enum.Enum):
-    RAW = "raw"
-    MIN_MAX_PER_IMAGE = "minmax"
-
-
-def finalize_pixels(pixels: np.ndarray, mode: PixelFinalize) -> np.ndarray:
-    """Identity, or per-image min-max to [0,1] (constant images map to 0)."""
-    if not np.all(np.isfinite(pixels)):
-        raise EncoderError("cannot finalize non-finite pixels")
-    if mode is PixelFinalize.RAW:
-        return pixels
-    lo = pixels.min()
-    span = pixels.max() - lo
-    if span == 0.0:
-        return np.zeros_like(pixels)
-    return (pixels - lo) / span
-
-
 def _to_gray_u8(pixels: np.ndarray) -> np.ndarray:
-    scaled = finalize_pixels(np.asarray(pixels, dtype=np.float64), PixelFinalize.MIN_MAX_PER_IMAGE)
+    scaled = min_max(np.asarray(pixels, dtype=np.float64))
     return np.round(scaled * 255.0).astype(np.uint8)
 
 
@@ -233,10 +216,15 @@ def write_pgm(path, pixels: np.ndarray) -> None:
         fh.write(gray.tobytes())
 
 
-def write_png(path, pixels: np.ndarray) -> None:
-    """PNG dump of one image (requires pillow)."""
+def pillow_image():
+    """pillow's ``PIL.Image`` module; EncoderError when pillow is missing."""
     try:
         from PIL import Image
-    except ImportError as exc:  # pragma: no cover
+    except ImportError as exc:
         raise EncoderError("PNG export needs pillow; install funcid[png] or use write_pgm") from exc
-    Image.fromarray(_to_gray_u8(pixels), mode="L").save(path)
+    return Image
+
+
+def write_png(path, pixels: np.ndarray) -> None:
+    """PNG dump of one image (requires pillow)."""
+    pillow_image().fromarray(_to_gray_u8(pixels), mode="L").save(path)

@@ -85,15 +85,10 @@ class Network:
                 f"expected batch of shape (B, {self.meta.frame_size}, {self.meta.frame_size}),"
                 f" got {x.shape}"
             )
-        if not np.all(np.isfinite(x)):
-            raise ModelError("non-finite values in input batch")
         if self.meta.input_norm == "raw":
+            _check_finite(x)
             return x
-        lo = x.min(axis=(1, 2), keepdims=True)
-        span = x.max(axis=(1, 2), keepdims=True) - lo
-        safe = np.where(span == 0.0, 1.0, span)
-        out = (x - lo) / safe
-        return np.where(span == 0.0, 0.0, out).astype(x.dtype)
+        return min_max(x)
 
     def forward_normalized(self, x: np.ndarray, want_caches: bool = False):
         caches = []
@@ -124,6 +119,26 @@ class Network:
             for name, g in layer_grads.items():
                 grads[(i, name)] = g
         return grads
+
+
+def _check_finite(x: np.ndarray) -> None:
+    if not np.all(np.isfinite(x)):
+        raise ModelError("non-finite pixel values")
+
+
+def min_max(pixels: np.ndarray) -> np.ndarray:
+    """Per-image min-max to [0, 1] over the last two axes, in the input dtype.
+
+    A constant image maps to zeros.  This one expression normalizes both the
+    network input and the exported grayscale images; non-finite pixels raise
+    ModelError.
+    """
+    _check_finite(pixels)
+    lo = pixels.min(axis=(-2, -1), keepdims=True)
+    span = pixels.max(axis=(-2, -1), keepdims=True) - lo
+    safe = np.where(span == 0.0, 1.0, span)
+    out = (pixels - lo) / safe
+    return np.where(span == 0.0, 0.0, out).astype(pixels.dtype)
 
 
 def _activation(meta: ModelMeta) -> Layer:
@@ -257,7 +272,7 @@ def predict_logits(model: Network, pixels: np.ndarray, batch_size: int = 256) ->
 
 def predict(model: Network, data) -> np.ndarray:
     """Argmax class indices; ties break to the lowest class index."""
-    pixels = data.arrays()[0] if hasattr(data, "arrays") else np.asarray(data)
+    pixels = data.pixels if hasattr(data, "pixels") else np.asarray(data)
     return predict_logits(model, pixels).argmax(axis=1)
 
 

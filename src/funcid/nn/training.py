@@ -23,7 +23,6 @@ class TrainConfig:
     seed: int = 0
     momentum: float = 0.0
     optimizer: str = "sgd"  # "sgd" | "adam"
-    checkpoint_policy: str = "min_loss"
 
     def __post_init__(self):
         if self.learning_rate < 0.0:
@@ -32,8 +31,6 @@ class TrainConfig:
             raise ValueError("batch_size and epochs must be >= 1")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.checkpoint_policy != "min_loss":
-            raise ValueError(f"unknown checkpoint policy {self.checkpoint_policy!r}")
 
 
 @dataclass
@@ -65,9 +62,8 @@ class TrainReport:
 
 
 def _as_arrays(data) -> tuple[np.ndarray, np.ndarray]:
-    if hasattr(data, "arrays"):
-        return data.arrays()
-    pixels, labels = data
+    """(pixels, labels) of a Dataset or of a (pixels, labels) pair."""
+    pixels, labels = (data.pixels, data.labels) if hasattr(data, "pixels") else data
     return np.asarray(pixels), np.asarray(labels)
 
 
@@ -92,9 +88,9 @@ def train(model: Network, train_data, val_data, cfg: TrainConfig) -> tuple[Netwo
     x_train, y_train = _as_arrays(train_data)
     if len(x_train) == 0:
         raise ValueError("training split is empty")
-    has_val = val_data is not None and len(_as_arrays(val_data)[0]) > 0
+    x_val, y_val = _as_arrays(val_data) if val_data is not None else ((), ())
+    has_val = len(x_val) > 0
     if has_val:
-        x_val, y_val = _as_arrays(val_data)
         x_val = model.apply_input_norm(x_val)
 
     # Pixels are normalized once up front; layers then see identical inputs

@@ -262,6 +262,18 @@ class TestExportPng:
             assert image.dtype == np.float32
             assert image.tobytes() == expected[path.name].tobytes()
 
+    def test_missing_pillow_exits_2_before_anything_is_written(self, tmp_path, monkeypatch,
+                                                               capsys):
+        monkeypatch.setitem(sys.modules, "PIL", None)  # makes `import PIL` fail
+        built = []
+        monkeypatch.setattr(funcid.cli, "build_dataset",
+                            lambda spec, jobs=1: built.append(spec) or {})
+        out = tmp_path / "data"
+        assert main(["generate", *TINY_GEN, "--out", str(out), "--export-png"]) == 2
+        assert "PNG export needs pillow" in capsys.readouterr().err
+        assert built == []
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestConfigPrecedence:
     def test_generate_flag_beats_config_beats_default(self, tmp_path, capsys):

@@ -122,9 +122,13 @@ class TestBuildDataset:
 
     def test_labels_zero_based(self):
         splits = build_dataset(small_spec(train=2, test=0))
-        assert set(splits["train"].labels) == set(range(24))
-        # image labels keep the 1-based function index
-        assert {img.label for img in splits["train"].images} == set(range(1, 25))
+        ds = splits["train"]
+        assert ds.labels.dtype == np.int64 and ds.pixels.dtype == np.float32
+        assert set(ds.labels.tolist()) == set(range(24))
+        # label + 1 is the 1-based function index of the image's instance
+        table = ds.manifest.instance_seeds
+        for label, seed in zip(ds.labels.tolist(), ds.manifest.image_seeds):
+            assert table[label + 1] == [seed]
 
     def test_regeneration_identical(self):
         spec = small_spec()
@@ -170,8 +174,8 @@ class TestBuildDataset:
     def test_fresh_sample_seeds_per_replicate(self):
         splits = build_dataset(small_spec(train=3, test=0))
         by_class: dict[int, list] = {}
-        for img, label in zip(splits["train"].images, splits["train"].labels):
-            by_class.setdefault(label, []).append(img.pixels)
+        for pixels, label in zip(splits["train"].pixels, splits["train"].labels):
+            by_class.setdefault(int(label), []).append(pixels)
         for pixel_list in by_class.values():
             assert not np.array_equal(pixel_list[0], pixel_list[1])
 
@@ -185,21 +189,24 @@ class TestBuildDataset:
 # -- shuffling -------------------------------------------------------------------
 
 
+def _stack(n: int) -> np.ndarray:
+    """n 2 x 2 float32 images; image i holds the value i."""
+    return np.repeat(np.arange(n, dtype=np.float32), 4).reshape(n, 2, 2)
+
+
 class TestShuffleSync:
     def test_pairing_preserved(self):
-        images = [f"img{i}" for i in range(10)]
-        labels = list(range(10))
-        shuffled_images, shuffled_labels = shuffle_sync(images, labels, seed=3)
-        assert sorted(shuffled_labels) == labels
-        for img, lab in zip(shuffled_images, shuffled_labels):
-            assert img == f"img{lab}"
+        pixels, labels = _stack(10), np.arange(10)
+        shuffled_pixels, shuffled_labels = shuffle_sync(pixels, labels, seed=3)
+        assert sorted(shuffled_labels.tolist()) == labels.tolist()
+        for image, lab in zip(shuffled_pixels, shuffled_labels):
+            assert np.all(image == lab)
 
     def test_deterministic(self):
-        images = list(range(20))
-        labels = list(range(20))
-        a = shuffle_sync(images, labels, seed=9)
-        b = shuffle_sync(images, labels, seed=9)
-        assert a == b
+        pixels, labels = _stack(20), np.arange(20)
+        a = shuffle_sync(pixels, labels, seed=9)
+        b = shuffle_sync(pixels, labels, seed=9)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_tiny_n_fisher_yates_oracle(self):
         # Replay the same seeded Fisher-Yates by hand for n=3.
@@ -208,22 +215,22 @@ class TestShuffleSync:
         for i in (2, 1):
             j = int(g.integers(0, i + 1))
             idx[i], idx[j] = idx[j], idx[i]
-        images, labels = shuffle_sync(["a", "b", "c"], [0, 1, 2], seed=11)
-        assert labels == idx
-        assert images == [["a", "b", "c"][i] for i in idx]
+        pixels, labels, seeds = shuffle_sync(_stack(3), np.arange(3), 11, np.array([7, 8, 9]))
+        assert labels.tolist() == idx
+        assert np.array_equal(pixels, _stack(3)[idx])
+        assert seeds.tolist() == [[7, 8, 9][i] for i in idx]
 
     def test_length_mismatch(self):
         with pytest.raises(DatasetError):
-            shuffle_sync([1, 2], [1], seed=0)
+            shuffle_sync(_stack(2), np.arange(1), seed=0)
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 30))
     @settings(max_examples=25, deadline=None)
     def test_shuffle_is_permutation(self, seed, n):
-        images = list(range(n))
-        labels = [i * 2 for i in range(n)]
-        si, sl = shuffle_sync(images, labels, seed)
-        assert sorted(si) == images
-        assert all(l == i * 2 for i, l in zip(si, sl))
+        pixels, labels = _stack(n), np.arange(n) * 2
+        sp, sl = shuffle_sync(pixels, labels, seed)
+        assert sorted(sp[:, 0, 0].tolist()) == list(range(n))
+        assert np.array_equal(sl, sp[:, 0, 0] * 2)
 
 
 # -- noise -----------------------------------------------------------------------
@@ -241,17 +248,15 @@ class TestNoise:
     def test_gaussian_changes_pixels_not_labels(self):
         ds = self._tiny()
         noisy = add_gaussian_noise(ds, seed=1)
-        assert noisy.labels == ds.labels
+        assert np.array_equal(noisy.labels, ds.labels)
         assert noisy.manifest.digest != ds.manifest.digest
-        assert [i.label for i in noisy.images] == [i.label for i in ds.images]
         assert noisy.manifest.spec == ds.manifest.spec
 
     def test_gaussian_constant_zero_image_unchanged(self):
         ds = self._tiny()
-        zero = np.zeros_like(ds.images[0].pixels)
-        object.__setattr__(ds.images[0], "pixels", zero)
+        ds.pixels[0] = 0.0
         noisy = add_gaussian_noise(ds, seed=1, amplitude=1.0)
-        assert np.array_equal(noisy.images[0].pixels, zero)
+        assert np.array_equal(noisy.pixels[0], np.zeros_like(ds.pixels[0]))
 
     def test_gaussian_sample_variance(self):
         # With amplitude forced to 1, sigma = max/2; the added noise over
@@ -260,11 +265,11 @@ class TestNoise:
         ds = build_dataset(spec)["train"]  # 1440 images x 64 px = 92160
         noisy = add_gaussian_noise(ds, seed=9, amplitude=1.0)
         ratios = []
-        for before, after in zip(ds.images, noisy.images):
-            sigma = max(float(before.pixels.max()), 0.0) / 2.0
+        for before, after in zip(ds.pixels, noisy.pixels):
+            sigma = max(float(before.max()), 0.0) / 2.0
             if sigma == 0.0:
                 continue
-            delta = (after.pixels.astype(np.float64) - before.pixels) / sigma
+            delta = (after.astype(np.float64) - before) / sigma
             ratios.append(delta.reshape(-1))
         pooled = np.concatenate(ratios)
         assert pooled.size > 1e5 * 0.6
@@ -278,8 +283,8 @@ class TestNoise:
     def test_uniform_range_respected(self):
         ds = self._tiny()
         noisy = add_uniform_noise(ds, -2.5, 2.5, seed=1)
-        for before, after in zip(ds.images, noisy.images):
-            delta = after.pixels.astype(np.float64) - before.pixels
+        for before, after in zip(ds.pixels, noisy.pixels):
+            delta = after.astype(np.float64) - before
             assert np.all(delta >= -2.5) and np.all(delta <= 2.5)
 
     def test_uniform_mean_estimator(self):
@@ -288,10 +293,7 @@ class TestNoise:
         lo, hi = -1.0, 3.0
         noisy = add_uniform_noise(ds, lo, hi, seed=2)
         deltas = np.concatenate(
-            [
-                (a.pixels.astype(np.float64) - b.pixels).reshape(-1)
-                for a, b in zip(noisy.images, ds.images)
-            ]
+            [(a.astype(np.float64) - b).reshape(-1) for a, b in zip(noisy.pixels, ds.pixels)]
         )
         assert abs(deltas.mean() - (lo + hi) / 2.0) < 0.05
 
@@ -316,10 +318,10 @@ class TestSaveLoad:
         save(ds, path)
         back = load(path)
         assert back.manifest.digest == ds.manifest.digest
-        assert content_digest(back.images, back.labels) == ds.manifest.digest
-        assert back.labels == ds.labels
-        for a, b in zip(back.images, ds.images):
-            assert np.array_equal(a.pixels, b.pixels)
+        assert content_digest(back.pixels, back.labels) == ds.manifest.digest
+        assert back.labels.dtype == np.int64 and np.array_equal(back.labels, ds.labels)
+        assert back.pixels.dtype == np.float32 and back.pixels.shape == ds.pixels.shape
+        assert back.pixels.tobytes() == ds.pixels.tobytes()
 
     def test_corrupt_byte_detected(self, tmp_path):
         ds = build_dataset(small_spec(train=2, test=0))["train"]
@@ -430,6 +432,28 @@ class TestSaveLoad:
         self._edit_manifest(sidecar, lambda m: m.update(digest=digest.hex()))
         with pytest.raises(DatasetFormatError, match="label 24 out of range for 24 classes"):
             load(path)
+
+    def test_record_stream_matches_per_image_reference(self, tmp_path):
+        # The per-image struct loop that wrote LIMG records before they were
+        # one structured array: "<H" label, then the "<f4" pixels.
+        def reference(pixels, labels):
+            return b"".join(
+                struct.pack("<H", int(label)) + image.astype("<f4").tobytes()
+                for image, label in zip(pixels, labels)
+            )
+
+        pixels = np.random.default_rng(4).standard_normal((5, 3, 3)).astype(np.float32)
+        labels = np.array([0, 1, 300, 65535, 7])
+        assert content_digest(pixels, labels) == hashlib.sha256(
+            reference(pixels, labels)
+        ).hexdigest()
+
+        ds = build_dataset(small_spec(train=2, test=0))["train"]
+        path = tmp_path / "data.limg"
+        save(ds, path)
+        body = reference(ds.pixels, ds.labels)
+        assert path.read_bytes()[18:-32] == body
+        assert ds.manifest.digest == hashlib.sha256(body).hexdigest()
 
     def test_binary_layout(self, tmp_path):
         ds = build_dataset(small_spec(train=2, test=0))["train"]

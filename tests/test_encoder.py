@@ -14,17 +14,17 @@ from funcid.encoder import (
     EncoderConfig,
     EncoderError,
     ImageType,
-    PixelFinalize,
     _probe_row_sequence,
     construct_image,
     display_vectors,
-    finalize_pixels,
     layout,
     probe_vectors,
     sample_points,
     type5_sample_count,
     write_pgm,
 )
+from funcid.nn import ModelError, init_model
+from funcid.nn.network import min_max
 from funcid.suite import Suite, evaluate, make_instance, problem
 
 BBOB = Suite.CONTINUOUS_BBOB
@@ -391,22 +391,40 @@ class TestQueryBudget:
 
 
 class TestFinalize:
-    def test_raw_is_identity(self):
-        pixels = np.array([[0.0, 10.0], [5.0, 10.0]])
-        assert np.array_equal(finalize_pixels(pixels, PixelFinalize.RAW), pixels)
-
     def test_minmax_map(self):
         pixels = np.array([[0.0, 10.0], [5.0, 10.0]])
-        out = finalize_pixels(pixels, PixelFinalize.MIN_MAX_PER_IMAGE)
+        out = min_max(pixels)
         assert np.array_equal(out, np.array([[0.0, 1.0], [0.5, 1.0]]))
 
     def test_constant_image_maps_to_zero(self):
-        out = finalize_pixels(np.full((3, 3), 7.0), PixelFinalize.MIN_MAX_PER_IMAGE)
+        out = min_max(np.full((3, 3), 7.0))
         assert np.array_equal(out, np.zeros((3, 3)))
 
-    def test_nan_rejected(self):
-        with pytest.raises(EncoderError):
-            finalize_pixels(np.array([[np.nan, 1.0]]), PixelFinalize.RAW)
+    def test_nan_rejected(self, tmp_path):
+        with pytest.raises(ModelError):
+            min_max(np.array([[np.nan, 1.0]]))
+        with pytest.raises(ModelError):
+            write_pgm(tmp_path / "nan.pgm", np.array([[np.nan, 1.0]]))
+
+    def test_pgm_scales_in_float64(self, tmp_path):
+        # 2.5 + 1e-7 stays above 2.5 in float64 (gray 3) but rounds to 2.5 in
+        # float32, which gray rounding (half to even) would map to 2.
+        path = tmp_path / "img.pgm"
+        write_pgm(path, np.array([[0.0, 255.0], [2.5 + 1e-7, 255.0]]))
+        assert path.read_bytes()[-4:] == bytes([0, 255, 3, 255])
+
+    def test_export_and_network_input_share_the_expression(self, tmp_path):
+        # Per image, the PGM export's float64 scaling is the float64
+        # network's input normalization of the same image.
+        batch = np.random.default_rng(3).standard_normal((3, 4, 4)) * 50.0
+        batch[1] = -2.0
+        normed = init_model("perceptron1", 2, 4, seed=0, dtype="float64").apply_input_norm(batch)
+        for image, expected in zip(batch, normed):
+            assert min_max(image).tobytes() == expected.tobytes()
+            path = tmp_path / "img.pgm"
+            write_pgm(path, image)
+            gray = np.round(expected * 255.0).astype(np.uint8)
+            assert path.read_bytes() == b"P5\n4 4\n255\n" + gray.tobytes()
 
     def test_pgm_export(self, tmp_path):
         img = construct_image(sphere(2), EncoderConfig(2, 2, 1, frame_size=4), 5)

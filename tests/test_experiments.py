@@ -143,7 +143,11 @@ class _Spy:
             )
 
         def train(model, train_ds, val_ds, cfg):
-            self.calls.append(["train", dataclasses.asdict(cfg), val_ds is not None])
+            # The pins were taken while TrainConfig still had a checkpoint_policy
+            # field, whose one accepted value was "min_loss"; minimal-loss
+            # selection is now fixed, and the field is recorded as it was.
+            fields = {**dataclasses.asdict(cfg), "checkpoint_policy": "min_loss"}
+            self.calls.append(["train", fields, val_ds is not None])
             return (model, TrainReport(best_epoch=1)) if stub else real["train"](
                 model, train_ds, val_ds, cfg
             )
