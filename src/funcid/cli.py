@@ -153,7 +153,7 @@ def _cmd_generate(args) -> int:
         pillow_image()  # fail before anything is built or written
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    splits = build_dataset(spec, jobs=args.jobs)
+    splits = build_dataset(spec)
     for name, ds in splits.items():
         if len(ds) == 0 and name != "train":
             continue
@@ -244,7 +244,7 @@ def _parse_override(item: str):
 def _cmd_experiment(args) -> int:
     overrides = dict(_parse_override(item) for item in args.set)
     preset = ExperimentPreset(args.preset, scale=args.scale, overrides=overrides)
-    run_dir = run_preset(preset, output_root=args.out, master_seed=args.seed, jobs=args.jobs)
+    run_dir = run_preset(preset, output_root=args.out, master_seed=args.seed)
     results = json.loads((run_dir / "results.json").read_text(encoding="utf-8"))
     print(f"run dir: {run_dir}")
     print(json.dumps(results, indent=2, sort_keys=True))
@@ -252,6 +252,11 @@ def _cmd_experiment(args) -> int:
 
 
 # -- parser ------------------------------------------------------------------
+
+
+# Generation is serial; the flag stays so that scripts and config files that
+# pass it still work.
+_JOBS_HELP = "ignored: generation runs in one thread"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--noise", choices=[n.value for n in NoiseKind], default=NoiseKind.NONE.value)
     gen.add_argument("--uniform-lo", dest="uniform_lo", type=float, default=-2.5)
     gen.add_argument("--uniform-hi", dest="uniform_hi", type=float, default=2.5)
-    gen.add_argument("--jobs", type=int, default=1)
+    gen.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     gen.add_argument("--out", default="dataset", help="output directory")
     gen.add_argument("--export-png", dest="export_png", action="store_true")
     _add_common(gen)
@@ -327,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex = subs.add_parser("experiment", help="run a reproducible experiment preset")
     ex.add_argument("preset", choices=list(PRESET_NAMES))
     ex.add_argument("--scale", choices=["desk", "paper"], default="desk")
-    ex.add_argument("--jobs", type=int, default=1)
+    ex.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     ex.add_argument("--out", help="output root (default $FUNCID_OUT or ./funcid_runs)")
     ex.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                     help="preset override; an unknown key's error lists the preset's keys")

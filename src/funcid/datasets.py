@@ -25,7 +25,6 @@ import enum
 import hashlib
 import json
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -243,14 +242,13 @@ def _instance_for(spec, split: str, replicate: int, seeds: list[int], unseen: li
     return seeds[replicate % len(seeds)]
 
 
-def build_dataset(spec: DatasetSpec, jobs: int = 1) -> dict[str, Dataset]:
+def build_dataset(spec: DatasetSpec) -> dict[str, Dataset]:
     """Generate the train/val/test datasets for ``spec``.
 
     Per class and replicate the regime picks an instance seed; every image
     draws fresh sample points from its own derived seed, so replicates of
     one instance differ.  Splits are generated independently (class balance
-    is exact per split) and shuffled in lockstep with their labels.  Output
-    is identical for any ``jobs`` value.
+    is exact per split) and shuffled in lockstep with their labels.
     """
     train_seeds, unseen_seeds = instance_seed_table(spec)
     if spec.regime is Regime.L3:
@@ -293,18 +291,9 @@ def build_dataset(spec: DatasetSpec, jobs: int = 1) -> dict[str, Dataset]:
     for split, plan in plans.items():
         tag = _SPLIT_TAGS[split]
         pixels = np.empty((len(plan), m, m), dtype=np.float32)
-
-        def _make(i):
-            prob, inst_seed, sample_seed = plan[i]
+        for i, (prob, inst_seed, sample_seed) in enumerate(plan):
             image = construct_image(instances[prob.index, inst_seed], spec.encoder, sample_seed)
             pixels[i] = image.pixels
-
-        if jobs > 1 and plan:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                list(pool.map(_make, range(len(plan))))
-        else:
-            for i in range(len(plan)):
-                _make(i)
         labels = np.array([prob.index - 1 for prob, _, _ in plan], dtype=np.int64)
         image_seeds = np.array([inst_seed for _, inst_seed, _ in plan], dtype=np.int64)
 
@@ -374,43 +363,44 @@ def content_digest(pixels: np.ndarray, labels: np.ndarray) -> str:
     return hashlib.sha256(_records(pixels, labels)).hexdigest()
 
 
+def _add_noise(ds: Dataset, seed: int, note: str, draw) -> Dataset:
+    """Image i gets ``draw(g, pixels)`` added in float64, where g is its own
+    ``NOISE`` substream; a draw of None leaves the image unchanged."""
+    noisy = np.empty_like(ds.pixels)
+    for i, pixels in enumerate(ds.pixels):
+        delta = draw(rng.substream(seed, rng.NOISE, i), pixels)
+        noisy[i] = pixels if delta is None else pixels.astype(np.float64) + delta
+    manifest = replace(
+        ds.manifest,
+        noise_applied=[*ds.manifest.noise_applied, note],
+        digest=content_digest(noisy, ds.labels),
+    )
+    return Dataset(pixels=noisy, labels=ds.labels, manifest=manifest)
+
+
 def add_gaussian_noise(ds: Dataset, seed: int, amplitude: float | None = None) -> Dataset:
     """Additive Gaussian pixel noise with per-image sigma in [0, max/2].
 
     Each image draws its own amplitude u in [0,1) (overridable for tests);
     sigma = u * max(pixels)/2, clamped at zero for non-positive maxima.
     """
-    noisy = np.empty_like(ds.pixels)
-    for i, pixels in enumerate(ds.pixels):
-        g = rng.substream(seed, rng.NOISE, i)
+
+    def draw(g, pixels):
         u = float(g.random()) if amplitude is None else amplitude
         sigma = max(float(pixels.max()), 0.0) / 2.0 * u
-        if sigma > 0.0:
-            noisy[i] = pixels.astype(np.float64) + g.normal(0.0, sigma, pixels.shape)
-        else:
-            noisy[i] = pixels
-    manifest = replace(
-        ds.manifest,
-        noise_applied=[*ds.manifest.noise_applied, f"gaussian_half_max(seed={seed})"],
-        digest=content_digest(noisy, ds.labels),
-    )
-    return Dataset(pixels=noisy, labels=ds.labels, manifest=manifest)
+        return g.normal(0.0, sigma, pixels.shape) if sigma > 0.0 else None
+
+    return _add_noise(ds, seed, f"gaussian_half_max(seed={seed})", draw)
 
 
 def add_uniform_noise(ds: Dataset, lo: float, hi: float, seed: int) -> Dataset:
     """Additive i.i.d. uniform [lo, hi] noise on every pixel."""
     if lo > hi:
         raise DatasetError(f"uniform noise range [{lo}, {hi}] is inverted")
-    noisy = np.empty_like(ds.pixels)
-    for i, pixels in enumerate(ds.pixels):
-        g = rng.substream(seed, rng.NOISE, i)
-        noisy[i] = pixels.astype(np.float64) + g.uniform(lo, hi, pixels.shape)
-    manifest = replace(
-        ds.manifest,
-        noise_applied=[*ds.manifest.noise_applied, f"uniform({lo},{hi},seed={seed})"],
-        digest=content_digest(noisy, ds.labels),
+    return _add_noise(
+        ds, seed, f"uniform({lo},{hi},seed={seed})",
+        lambda g, pixels: g.uniform(lo, hi, pixels.shape),
     )
-    return Dataset(pixels=noisy, labels=ds.labels, manifest=manifest)
 
 
 _MAGIC = b"LIMG"

@@ -77,12 +77,9 @@ class EncoderConfig:
 
 @dataclass(frozen=True)
 class LandscapeImage:
-    """An M x M embedding of sampled points, tagged with its provenance."""
+    """An M x M embedding of sampled points and the objective queries it cost."""
 
     pixels: np.ndarray
-    label: int
-    instance_seed: int
-    image_type: ImageType
     query_cost: EvalCounter
 
 
@@ -195,9 +192,6 @@ def construct_image(
 
     return LandscapeImage(
         pixels=pixels,
-        label=instance.problem.index,
-        instance_seed=instance.instance_seed,
-        image_type=cfg.image_type,
         query_cost=EvalCounter(counter.distinct_queries, counter.total_queries),
     )
 

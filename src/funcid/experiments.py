@@ -123,9 +123,10 @@ class ExperimentPreset:
     def settings(self) -> dict:
         """The resolved settings.
 
-        An unknown or mistyped override, or a desk-scale setting beyond the
-        desk caps, raises ExperimentError, so a run fails before it makes its
-        directory or runs its first sweep point.
+        An unknown or mistyped override, a training setting that TrainConfig
+        rejects, or a desk-scale setting beyond the desk caps raises
+        ExperimentError, so a run fails before it makes its directory or runs
+        its first sweep point.
         """
         row = PRESETS[self.name]
         base = {**_SCALE_DEFAULTS[self.scale], **row.defaults}
@@ -142,6 +143,11 @@ class ExperimentPreset:
                     f"override {key}={value!r} must be of type {_type_name(base[key])}"
                 )
         s = {**base, **self.overrides}
+        try:
+            TrainConfig(learning_rate=s["lr"], epochs=s["epochs"], batch_size=s["batch_size"],
+                        momentum=s["momentum"], optimizer=s["optimizer"])
+        except ValueError as exc:
+            raise ExperimentError(str(exc)) from None
         if self.scale == "desk":
             per_class = s["per_class_train"] + s["per_class_val"] + s["per_class_test"]
             total = per_class * len(list_functions(row.suite))
@@ -163,7 +169,6 @@ class _Run:
 
     out_dir: Path
     master_seed: int
-    jobs: int
 
 
 def _class_names(suite: Suite) -> list[str]:
@@ -174,7 +179,7 @@ def _train_stage(
     spec: DatasetSpec, s: dict, run: _Run, tag: str, model_seed: int, save_checkpoint: bool = True
 ):
     """Build datasets and train; returns (best_model, splits)."""
-    splits = build_dataset(spec, jobs=run.jobs)
+    splits = build_dataset(spec)
     model = init_model(
         s["model"],
         class_count=spec.class_count,
@@ -413,7 +418,6 @@ def run_preset(
     preset: ExperimentPreset,
     output_root: str | Path | None = None,
     master_seed: int = 0,
-    jobs: int = 1,
 ) -> Path:
     """Execute a preset; returns the timestamped run directory.
 
@@ -423,7 +427,7 @@ def run_preset(
     """
     settings = preset.settings()
     run_dir = _new_run_dir(Path(output_root) if output_root else default_output_root(), preset.name)
-    run = _Run(run_dir, master_seed, jobs)
+    run = _Run(run_dir, master_seed)
     results = PRESETS[preset.name].runner(settings, run)
 
     (run_dir / "results.json").write_text(

@@ -3,7 +3,7 @@
 Every layer exposes ``init(in_shape, generator)`` for fan-in-scaled
 parameter init, ``forward(x) -> (y, cache)`` and
 ``backward(grad_y, cache) -> (grad_x, param_grads)``.  Shapes exclude the
-leading batch axis.  All math runs in the layer's dtype (float32 by
+leading batch axis.  All math runs in the parameters' dtype (float32 by
 default; float64 for high-precision gradient checks).
 
 Layers with parameters (``Dense``, ``Conv2D``) also take
@@ -48,10 +48,8 @@ class Layer:
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
-        self.dtype = np.float32
 
     def init(self, in_shape: tuple, generator: np.random.Generator, dtype) -> tuple:
-        self.dtype = dtype
         return self.out_shape(in_shape)
 
     def out_shape(self, in_shape: tuple) -> tuple:
@@ -81,7 +79,6 @@ class Dense(Layer):
         if len(in_shape) != 1:
             raise LayerError(f"Dense expects flat input, got shape {in_shape}")
         fan_in = in_shape[0]
-        self.dtype = dtype
         self.params = {
             "W": _uniform_fan_in((fan_in, self.units), fan_in, generator, dtype),
             "b": np.zeros(self.units, dtype=dtype),
@@ -135,7 +132,6 @@ class Conv2D(Layer):
         if h < self.kernel or w < self.kernel:
             raise LayerError(f"kernel {self.kernel} larger than input {h}x{w}")
         fan_in = c * self.kernel * self.kernel
-        self.dtype = dtype
         self.params = {
             "W": _uniform_fan_in((self.channels, c, self.kernel, self.kernel), fan_in, generator, dtype),
             "b": np.zeros(self.channels, dtype=dtype),

@@ -31,6 +31,10 @@ class TrainConfig:
             raise ValueError("batch_size and epochs must be >= 1")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.optimizer == "adam" and self.momentum != 0.0:
+            raise ValueError(f"momentum {self.momentum} needs optimizer 'sgd'; adam takes 0")
 
 
 @dataclass

@@ -64,8 +64,7 @@ class TestFuncsList:
 
 
 # A tiny UnseenL3Noisy run: one image per class and split, one epoch.
-TINY_L3 = ["--set", "per_class_train=1", "--set", "per_class_test=1", "--set", "epochs=1",
-           "--jobs", "1"]
+TINY_L3 = ["--set", "per_class_train=1", "--set", "per_class_test=1", "--set", "epochs=1"]
 
 
 class TestExperiment:
@@ -131,6 +130,17 @@ class TestExperiment:
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_momentum_with_adam_exits_2_without_a_run_dir(self, tmp_path, capsys):
+        # Desk scale trains with Adam, which has no momentum term.
+        code = main(["experiment", "UnseenL3", "--out", str(tmp_path), "--set", "momentum=0.9"])
+        assert code == 2
+        assert "momentum 0.9 needs optimizer 'sgd'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_paper_scale_sgd_takes_momentum(self):
+        preset = ExperimentPreset("UnseenL3", scale="paper", overrides={"momentum": 0.9})
+        assert (preset.settings()["optimizer"], preset.settings()["momentum"]) == ("sgd", 0.9)
+
     def test_desk_cap_counts_the_preset_suite_classes(self):
         # 1050 images per class: over the cap for 24 BBOB classes, not for 6 discrete ones.
         ExperimentPreset("DiscreteL1", overrides={"per_class_train": 1000})
@@ -145,7 +155,7 @@ class TestExperiment:
 
 
 # A tiny d=2 BBOB dataset: 24 classes, one image per class in train and test.
-TINY_GEN = ["--dim", "2", "--per-class", "1", "--per-class-test", "1", "--jobs", "1"]
+TINY_GEN = ["--dim", "2", "--per-class", "1", "--per-class-test", "1"]
 
 
 def _write_config(path: Path, config) -> str:
@@ -220,6 +230,13 @@ class TestGenerateTrainEval:
         assert message in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
+    def test_momentum_with_adam_exits_2(self, tiny_data, tmp_path, capsys):
+        model = tmp_path / "model.lmdl"
+        assert main(["train", "--data", str(tiny_data / "train.limg"), "--epochs", "1",
+                     "--optimizer", "adam", "--momentum", "0.9", "--out", str(model)]) == 2
+        assert "momentum 0.9 needs optimizer 'sgd'" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_truncated_dataset_exits_1(self, tiny_data, tmp_path, capsys):
         train_limg = tiny_data / "train.limg"
         model = tmp_path / "model.lmdl"
@@ -232,6 +249,27 @@ class TestGenerateTrainEval:
         assert main(["eval", "--model", str(model), "--data", str(test_limg)]) == 1
         err = capsys.readouterr().err
         assert err.count("runtime failure: ") == 2
+
+
+class TestJobsFlag:
+    """``--jobs`` still parses on generate and experiment, and changes nothing."""
+
+    def test_generate_writes_the_same_bytes_for_any_jobs(self, tmp_path, capsys):
+        written = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["generate", *TINY_GEN, "--jobs", jobs, "--out", str(out)]) == 0
+            written[jobs] = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert sorted(written["1"]) == ["test.limg", "test.limg.manifest.json",
+                                        "train.limg", "train.limg.manifest.json"]
+        assert written["2"] == written["1"]
+
+    def test_experiment_accepts_jobs(self, tmp_path, capsys):
+        code = main(["experiment", "UnseenL3Noisy", "--out", str(tmp_path), *TINY_L3,
+                     "--jobs", "2"])
+        assert code == 0, capsys.readouterr().err
+        (run_dir,) = tmp_path.iterdir()
+        assert (run_dir / "results.json").is_file()
 
 
 class TestExportPng:
@@ -247,7 +285,7 @@ class TestExportPng:
                             lambda path, pixels: written.append((Path(path), np.array(pixels))))
         out = tmp_path / "data"
         assert main(["generate", "--dim", "2", "--n", "4", "--frame", "8", "--type", "3",
-                     "--per-class", "3", "--per-class-test", "1", "--jobs", "1",
+                     "--per-class", "3", "--per-class-test", "1",
                      "--out", str(out), "--export-png"]) == 0
         assert f"previews: {out / 'preview'}" in capsys.readouterr().out
 
@@ -267,7 +305,7 @@ class TestExportPng:
         monkeypatch.setitem(sys.modules, "PIL", None)  # makes `import PIL` fail
         built = []
         monkeypatch.setattr(funcid.cli, "build_dataset",
-                            lambda spec, jobs=1: built.append(spec) or {})
+                            lambda spec: built.append(spec) or {})
         out = tmp_path / "data"
         assert main(["generate", *TINY_GEN, "--out", str(out), "--export-png"]) == 2
         assert "PNG export needs pillow" in capsys.readouterr().err
@@ -295,11 +333,11 @@ class TestConfigPrecedence:
         assert main(["experiment", "UnseenL3", "--config", config, "--scale", "desk",
                      "--out", str(tmp_path / "flag")]) == 0
         assert main(["experiment", "UnseenL3", "--out", str(tmp_path / "plain")]) == 0
-        assert [(p.name, p.scale, Path(root), seed, jobs)
-                for p, root, seed, jobs in preset_calls] == [
-            ("UnseenL3", "paper", tmp_path / "cfg", 7, 2),
-            ("UnseenL3", "desk", tmp_path / "flag", 5, 2),
-            ("UnseenL3", "desk", tmp_path / "plain", 0, 1),
+        assert [(p.name, p.scale, Path(root), seed)
+                for p, root, seed in preset_calls] == [
+            ("UnseenL3", "paper", tmp_path / "cfg", 7),
+            ("UnseenL3", "desk", tmp_path / "flag", 5),
+            ("UnseenL3", "desk", tmp_path / "plain", 0),
         ]
 
     def test_config_set_list_precedes_set_flags(self, tmp_path, preset_calls):
@@ -311,11 +349,11 @@ class TestConfigPrecedence:
 
 @pytest.fixture
 def preset_calls(monkeypatch) -> list:
-    """Replaces the CLI's run_preset; records (preset, output_root, master_seed, jobs)."""
+    """Replaces the CLI's run_preset; records (preset, output_root, master_seed)."""
     calls = []
 
-    def run_preset(preset, output_root, master_seed, jobs):
-        calls.append((preset, output_root, master_seed, jobs))
+    def run_preset(preset, output_root, master_seed):
+        calls.append((preset, output_root, master_seed))
         run_dir = Path(output_root) / "run"
         run_dir.mkdir(parents=True)
         (run_dir / "results.json").write_text("{}", encoding="utf-8")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -460,13 +461,13 @@ class TestImageProperties:
         b = construct_image(inst, cfg, sample_seed=77)
         assert np.array_equal(a.pixels, b.pixels)
 
-    def test_label_and_metadata(self):
+    def test_image_holds_pixels_and_query_cost(self):
+        # An image's label and instance seed come from build_dataset's plan.
         cfg = EncoderConfig(dim=2, sample_size=2, image_type=2, frame_size=4)
         inst = make_instance(problem(BBOB, 8), 2, 13)
         img = construct_image(inst, cfg, sample_seed=5)
-        assert img.label == 8
-        assert img.instance_seed == 13
-        assert img.image_type is ImageType.TYPE2
+        assert [f.name for f in dataclasses.fields(img)] == ["pixels", "query_cost"]
+        assert img.pixels.shape == (4, 4) and img.query_cost.total_queries > 0
 
     def test_value_beyond_float32_range_rejected(self, monkeypatch):
         import funcid.encoder

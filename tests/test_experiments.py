@@ -129,12 +129,14 @@ class _Spy:
         real = {name: getattr(experiments, name) for name in
                 ("build_dataset", "init_model", "train", "add_uniform_noise")}
 
-        def build_dataset(spec, jobs=1):
-            self.calls.append(["build_dataset", spec_to_dict(spec), jobs])
+        def build_dataset(spec):
+            # The pins were taken while build_dataset still took a jobs
+            # argument, always 1 here; it is recorded as it was.
+            self.calls.append(["build_dataset", spec_to_dict(spec), 1])
             if stub:
                 return {"train": _FakeSplit(spec, 1), "val": _FakeSplit(spec, 0),
                         "test": _FakeSplit(spec, 1)}
-            return real["build_dataset"](spec, jobs=jobs)
+            return real["build_dataset"](spec)
 
         def init_model(name, class_count, frame_size, seed, **kwargs):
             self.calls.append(["init_model", name, class_count, frame_size, seed, kwargs])
@@ -183,7 +185,7 @@ class _FakeSplit:
 
 
 def _run(preset: str, root: Path, capsys, *argv: str) -> Path:
-    code = main(["experiment", preset, "--out", str(root), "--jobs", "1", *argv])
+    code = main(["experiment", preset, "--out", str(root), *argv])
     captured = capsys.readouterr()
     assert code == 0, captured.err
     (line,) = [ln for ln in captured.out.splitlines() if ln.startswith("run dir: ")]

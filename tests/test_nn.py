@@ -373,13 +373,19 @@ def assert_same_bytes(a, b):
 class TestReferenceOracles:
     @pytest.mark.parametrize("activation", [ReLU, Tanh])
     def test_avgpool_forward_on_conv_layout(self, activation):
-        conv = Conv2D(6, 5)
-        conv.init((1, 28, 28), np.random.default_rng(0), np.float32)
-        x = np.random.default_rng(1).random((8, 1, 28, 28)).astype(np.float32)
-        y, _ = activation().forward(conv.forward(x)[0])
-        assert not y.flags.c_contiguous  # channel-last, as Conv2D leaves it
-        pool = AvgPool2D(2)
-        assert_same_bytes(pool.forward(y)[0], reference_avgpool_forward(pool, y))
+        for dtype in (np.float32, np.float64):
+            conv = Conv2D(6, 5)
+            conv.init((1, 28, 28), np.random.default_rng(0), dtype)
+            x = np.random.default_rng(1).random((8, 1, 28, 28)).astype(dtype)
+            y, _ = activation().forward(conv.forward(x)[0])
+            assert not y.flags.c_contiguous  # channel-last, as Conv2D leaves it
+            pool = AvgPool2D(2)
+            out, cache = pool.forward(y)
+            assert_same_bytes(out, reference_avgpool_forward(pool, y))
+            # The upsampled gradient keeps the incoming dtype.
+            grad_y = np.random.default_rng(2).standard_normal(out.shape).astype(dtype)
+            upsampled = np.repeat(np.repeat(grad_y / 4, 2, axis=2), 2, axis=3)
+            assert_same_bytes(pool.backward(grad_y, cache)[0], upsampled.astype(dtype))
 
     def test_conv_backward(self):
         gen = np.random.default_rng(4)
@@ -595,6 +601,14 @@ class TestTrain:
         model = init_model("perceptron1", 3, 8, seed=4, input_norm="raw")
         with pytest.raises(TrainingDivergedError):
             train(model, (x, y), None, TrainConfig(learning_rate=1e20, epochs=10, batch_size=4, seed=1))
+
+    @pytest.mark.parametrize("optimizer, momentum", [
+        ("sgd", -0.5), ("sgd", 1.0), ("sgd", float("nan")), ("adam", 0.9), ("adam", -0.5),
+    ])
+    def test_bad_momentum_rejected(self, optimizer, momentum):
+        with pytest.raises(ValueError, match="momentum"):
+            TrainConfig(learning_rate=0.1, epochs=1, momentum=momentum, optimizer=optimizer)
+        TrainConfig(learning_rate=0.1, epochs=1, momentum=0.0, optimizer=optimizer)
 
     def test_empty_training_set_rejected(self):
         model = init_model("perceptron1", 3, 8, seed=4)
