@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import struct
 import types
 
 import numpy as np
@@ -365,6 +368,24 @@ def reference_adam_stepper(learning_rate, model):
     return adam_step
 
 
+def reference_sgd_stepper(learning_rate, momentum, model):
+    params = model.parameters()
+    velocity = {(i, n): np.zeros_like(p) for i, n, p in params}
+
+    def sgd_step(grads):
+        for i, name, p in params:
+            g = grads[(i, name)]
+            if momentum > 0.0:
+                v = velocity[(i, name)]
+                v *= momentum
+                v -= learning_rate * g
+                p += v.astype(p.dtype)
+            else:
+                p -= (learning_rate * g).astype(p.dtype)
+
+    return sgd_step
+
+
 def assert_same_bytes(a, b):
     assert a.dtype == b.dtype and a.shape == b.shape
     assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
@@ -443,16 +464,25 @@ class TestReferenceOracles:
         ref_acc = float((logits.argmax(axis=1) == y).mean())
         assert evaluate_loss(model, x, y) == (ref_loss, ref_acc)
 
+    @pytest.mark.parametrize("optimizer,momentum", [("adam", 0.0), ("sgd", 0.0), ("sgd", 0.9)])
     @pytest.mark.parametrize(
         "preset,frame,dtype",
-        [("perceptron3", 8, "float32"), ("lenet5", 16, "float32"), ("lenet5", 16, "float64")],
+        [
+            ("perceptron3", 8, "float32"),
+            ("perceptron3", 32, "float32"),
+            ("lenet5", 16, "float32"),
+            ("lenet5", 16, "float64"),
+        ],
     )
-    def test_adam_steps(self, preset, frame, dtype):
-        cfg = TrainConfig(learning_rate=1e-2, epochs=1, optimizer="adam")
+    def test_optimizer_steps(self, preset, frame, dtype, optimizer, momentum):
+        cfg = TrainConfig(learning_rate=1e-2, epochs=1, optimizer=optimizer, momentum=momentum)
         fast = init_model(preset, 3, frame, seed=3, dtype=dtype)
         slow = init_model(preset, 3, frame, seed=3, dtype=dtype)
         fast_step = _make_stepper(cfg, fast)
-        slow_step = reference_adam_stepper(cfg.learning_rate, slow)
+        if optimizer == "adam":
+            slow_step = reference_adam_stepper(cfg.learning_rate, slow)
+        else:
+            slow_step = reference_sgd_stepper(cfg.learning_rate, cfg.momentum, slow)
         gen = np.random.default_rng(6)
         for _ in range(5):
             x = gen.random((8, frame, frame)).astype(np.float32)
@@ -672,6 +702,21 @@ class TestPredict:
 # -- checkpoints -------------------------------------------------------------------
 
 
+def read_checkpoint(path):
+    """(descriptor, parameter bytes) of an LMDL file."""
+    raw = path.read_bytes()
+    _, blob_len = struct.unpack("<HI", raw[4:10])
+    return json.loads(raw[10 : 10 + blob_len]), raw[10 + blob_len : -32]
+
+
+def rewrite_checkpoint(path, descriptor=None, params=None):
+    """Replace the descriptor and/or parameter bytes, then re-digest the file."""
+    old_descriptor, old_params = read_checkpoint(path)
+    blob = json.dumps(descriptor or old_descriptor, sort_keys=True).encode("utf-8")
+    body = b"LMDL" + struct.pack("<HI", 1, len(blob)) + blob + (old_params if params is None else params)
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
 class TestCheckpoints:
     def test_roundtrip_bit_exact(self, tmp_path):
         model = init_model("lenet5", 6, 32, seed=3)
@@ -693,21 +738,35 @@ class TestCheckpoints:
             load_model(path)
 
     def test_edited_layer_descriptor_detected(self, tmp_path):
-        import hashlib
-        import json
-        import struct
-
         path = tmp_path / "model.lmdl"
         save_model(init_model("perceptron3", 3, 8, seed=3), path)
-        raw = path.read_bytes()
-        _, blob_len = struct.unpack("<HI", raw[4:10])
-        descriptor = json.loads(raw[10 : 10 + blob_len])
+        descriptor, _ = read_checkpoint(path)
         assert descriptor["layers"][1] == {"kind": "Dense", "args": {"units": 256}}
         descriptor["layers"][1]["args"]["units"] = 255
-        blob = json.dumps(descriptor, sort_keys=True).encode("utf-8")
-        body = raw[:4] + struct.pack("<HI", 1, len(blob)) + blob + raw[10 + blob_len : -32]
-        path.write_bytes(body + hashlib.sha256(body).digest())
+        rewrite_checkpoint(path, descriptor=descriptor)
         with pytest.raises(CheckpointError, match="stored layers"):
+            load_model(path)
+
+    @pytest.mark.parametrize("preset,dtype", [("perceptron3", "float32"), ("lenet5", "float64")])
+    def test_parameter_section_layout(self, tmp_path, preset, dtype):
+        model = init_model(preset, 5, 16, seed=3, dtype=dtype)
+        path = tmp_path / "model.lmdl"
+        save_model(model, path)
+        _, params = read_checkpoint(path)
+        expected = b"".join(np.ascontiguousarray(p, "<f4").tobytes() for _, _, p in model.parameters())
+        assert params == expected
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [(lambda params: params[:-4], "truncated"), (lambda params: params + b"\0" * 4, "trailing")],
+        ids=["one-float-short", "four-bytes-extra"],
+    )
+    def test_parameter_size_mismatch_detected(self, tmp_path, edit, message):
+        path = tmp_path / "model.lmdl"
+        save_model(init_model("perceptron3", 3, 8, seed=3), path)
+        _, params = read_checkpoint(path)
+        rewrite_checkpoint(path, params=edit(params))
+        with pytest.raises(CheckpointError, match=message):
             load_model(path)
 
     def test_bad_magic(self, tmp_path):
