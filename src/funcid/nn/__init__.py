@@ -7,7 +7,6 @@ from .layers import (
     Flatten,
     Layer,
     LayerError,
-    MaxPool2D,
     ReLU,
     Reshape,
     Tanh,
@@ -20,13 +19,11 @@ from .network import (
     PRESETS,
     init_model,
     load_model,
-    loss_and_grads,
     predict,
     predict_logits,
     save_model,
-    softmax,
 )
-from .training import TrainConfig, TrainReport, TrainingDivergedError, evaluate_loss, train
+from .training import TrainConfig, TrainReport, TrainingDivergedError, train
 
 __all__ = [
     "AvgPool2D",
@@ -36,7 +33,6 @@ __all__ = [
     "Flatten",
     "Layer",
     "LayerError",
-    "MaxPool2D",
     "ModelError",
     "ModelMeta",
     "Network",
@@ -47,13 +43,10 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "TrainingDivergedError",
-    "evaluate_loss",
     "init_model",
     "load_model",
-    "loss_and_grads",
     "predict",
     "predict_logits",
     "save_model",
-    "softmax",
     "train",
 ]

@@ -188,7 +188,7 @@ class Conv2D(Layer):
         return {"kind": "Conv2D", "args": {"channels": self.channels, "kernel": self.kernel}}
 
 
-class _Pool2D(Layer):
+class AvgPool2D(Layer):
     def __init__(self, size: int = 2):
         super().__init__()
         self.size = size
@@ -199,16 +199,6 @@ class _Pool2D(Layer):
             raise LayerError(f"pool size {self.size} does not divide input {h}x{w}")
         return (c, h // self.size, w // self.size)
 
-    def _blocks(self, x):
-        b, c, h, w = x.shape
-        s = self.size
-        return x.reshape(b, c, h // s, s, w // s, s).transpose(0, 1, 2, 4, 3, 5)
-
-    def spec(self):
-        return {"kind": type(self).__name__, "args": {"size": self.size}}
-
-
-class AvgPool2D(_Pool2D):
     def forward(self, x):
         # Window taps summed row-major, then divided: on the channel-last
         # layout a Conv2D + activation produces, this is the summation order
@@ -227,25 +217,8 @@ class AvgPool2D(_Pool2D):
         dx = np.repeat(np.repeat(scaled, s, axis=2), s, axis=3)
         return dx.astype(grad_y.dtype), {}
 
-
-class MaxPool2D(_Pool2D):
-    def forward(self, x):
-        blocks = self._blocks(x)
-        b, c, ho, wo = blocks.shape[:4]
-        flat = blocks.reshape(b, c, ho, wo, -1)
-        idx = flat.argmax(axis=-1)
-        y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-        return y, (x.shape, idx)
-
-    def backward(self, grad_y, cache):
-        x_shape, idx = cache
-        s = self.size
-        b, c, h, w = x_shape
-        ho, wo = h // s, w // s
-        dflat = np.zeros((b, c, ho, wo, s * s), dtype=grad_y.dtype)
-        np.put_along_axis(dflat, idx[..., None], grad_y[..., None], axis=-1)
-        dx = dflat.reshape(b, c, ho, wo, s, s).transpose(0, 1, 2, 4, 3, 5)
-        return dx.reshape(x_shape), {}
+    def spec(self):
+        return {"kind": "AvgPool2D", "args": {"size": self.size}}
 
 
 class ReLU(Layer):

@@ -1,4 +1,4 @@
-"""Classifier models: presets, inference, loss/gradients, checkpoints.
+"""Classifier models: presets, inference, gradients, checkpoints.
 
 Three presets cover the study's models: a single-layer perceptron, a
 3-layer perceptron (hidden widths 256/128), and the classic 7-layer
@@ -6,40 +6,39 @@ conv-pool-dense topology on M x M single-channel inputs.  Input pixels are
 min-max normalized per image by default before the first layer; the
 normalization mode travels with the model so inference always matches
 training.
+
+Every parameter of a network lives in one contiguous vector,
+``Network.vector``, in ``parameters()`` order: layer by layer, and within a
+layer by parameter name.  Each ``layer.params[name]`` is a reshaped view of
+its slice, ``Network.backward`` returns the gradient in the same layout, and
+the parameter section of an LMDL checkpoint is that vector in little-endian
+float32.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 from .. import rng
-from .layers import (
-    AvgPool2D,
-    Conv2D,
-    Dense,
-    Flatten,
-    Layer,
-    MaxPool2D,
-    ReLU,
-    Reshape,
-    Tanh,
-)
+from .layers import AvgPool2D, Conv2D, Dense, Flatten, Layer, ReLU, Reshape, Tanh
 
 PRESETS = ("perceptron1", "perceptron3", "lenet5")
 
 _DTYPE_NAMES = {"float32": np.float32, "float64": np.float64}
+_ACTIVATIONS = {"relu": ReLU, "tanh": Tanh}
+_INPUT_NORMS = ("minmax", "raw")
 
 
 class ModelError(ValueError):
     """Invalid model configuration or input."""
 
 
-@dataclass
+@dataclasses.dataclass
 class ModelMeta:
     preset: str
     class_count: int
@@ -47,16 +46,24 @@ class ModelMeta:
     init_seed: int
     input_norm: str  # "minmax" | "raw"
     activation: str  # "relu" | "tanh"
-    pooling: str  # "avg" | "max"
     dtype: str  # "float32" | "float64"
 
 
 class Network:
-    """An ordered layer stack with shape-checked parameters."""
+    """An ordered layer stack whose parameters are views into one vector."""
 
     def __init__(self, meta: ModelMeta, layers: list[Layer]):
         self.meta = meta
         self.layers = layers
+        params = self.parameters()
+        self.vector = np.concatenate([p.reshape(-1) for _, _, p in params])
+        # Per layer, each parameter's slice of ``vector``.
+        self._slices: list[dict[str, slice]] = [{} for _ in layers]
+        offset = 0
+        for i, name, p in params:
+            self._slices[i][name] = slice(offset, offset + p.size)
+            layers[i].params[name] = self.vector[offset : offset + p.size].reshape(p.shape)
+            offset += p.size
 
     # -- parameters -------------------------------------------------------
 
@@ -67,13 +74,9 @@ class Network:
                 out.append((i, name, layer.params[name]))
         return out
 
-    def parameter_count(self) -> int:
-        return sum(p.size for _, _, p in self.parameters())
-
     def copy(self) -> "Network":
         clone = build_network(self.meta)
-        for (_, _, dst), (_, _, src) in zip(clone.parameters(), self.parameters()):
-            np.copyto(dst, src)
+        np.copyto(clone.vector, self.vector)
         return clone
 
     # -- passes -----------------------------------------------------------
@@ -102,13 +105,14 @@ class Network:
         """Logits of shape (B, class_count) for a (B, M, M) pixel batch."""
         return self.forward_normalized(self.apply_input_norm(batch))
 
-    def backward(self, grad_logits: np.ndarray, caches: list):
-        """Per-layer parameter grads, mirrored on parameters() order.
+    def backward(self, grad_logits: np.ndarray, caches: list) -> np.ndarray:
+        """The parameter gradient as one fresh vector laid out like ``vector``.
 
-        The descent stops at the lowest layer with parameters, which skips
-        its input gradient: no layer below it has anything to learn.
+        Each layer's parameter grads are copied into their slices.  The
+        descent stops at the lowest layer with parameters, which skips its
+        input gradient: no layer below it has anything to learn.
         """
-        grads: dict[tuple[int, str], np.ndarray] = {}
+        flat = np.empty_like(self.vector)
         grad = grad_logits
         lowest = next(i for i, layer in enumerate(self.layers) if layer.params)
         for i in range(len(self.layers) - 1, lowest - 1, -1):
@@ -117,8 +121,8 @@ class Network:
             else:
                 grad, layer_grads = self.layers[i].backward(grad, caches[i])
             for name, g in layer_grads.items():
-                grads[(i, name)] = g
-        return grads
+                np.copyto(flat[self._slices[i][name]].reshape(g.shape), g)
+        return flat
 
 
 def _check_finite(x: np.ndarray) -> None:
@@ -141,20 +145,13 @@ def min_max(pixels: np.ndarray) -> np.ndarray:
     return np.where(span == 0.0, 0.0, out).astype(pixels.dtype)
 
 
-def _activation(meta: ModelMeta) -> Layer:
-    return ReLU() if meta.activation == "relu" else Tanh()
-
-
-def _pool(meta: ModelMeta) -> Layer:
-    return (AvgPool2D if meta.pooling == "avg" else MaxPool2D)(2)
-
-
 def _layer_stack(meta: ModelMeta) -> list[Layer]:
     m, k = meta.frame_size, meta.class_count
+    act = _ACTIVATIONS[meta.activation]
     if meta.preset == "perceptron1":
         return [Flatten(), Dense(k)]
     if meta.preset == "perceptron3":
-        return [Flatten(), Dense(256), _activation(meta), Dense(128), _activation(meta), Dense(k)]
+        return [Flatten(), Dense(256), act(), Dense(128), act(), Dense(k)]
     if meta.preset == "lenet5":
         after_c1 = m - 4
         after_p1 = after_c1 // 2
@@ -166,16 +163,16 @@ def _layer_stack(meta: ModelMeta) -> list[Layer]:
         return [
             Reshape((1, m, m)),
             Conv2D(6, 5),
-            _activation(meta),
-            _pool(meta),
+            act(),
+            AvgPool2D(2),
             Conv2D(16, 5),
-            _activation(meta),
-            _pool(meta),
+            act(),
+            AvgPool2D(2),
             Flatten(),
             Dense(120),
-            _activation(meta),
+            act(),
             Dense(84),
-            _activation(meta),
+            act(),
             Dense(k),
         ]
     raise ModelError(f"unknown preset {meta.preset!r}; choose from {PRESETS}")
@@ -183,8 +180,11 @@ def _layer_stack(meta: ModelMeta) -> list[Layer]:
 
 def build_network(meta: ModelMeta) -> Network:
     """Instantiate and deterministically initialize the preset topology."""
-    if meta.dtype not in _DTYPE_NAMES:
-        raise ModelError(f"unsupported dtype {meta.dtype!r}")
+    options = {"dtype": _DTYPE_NAMES, "activation": _ACTIVATIONS, "input_norm": _INPUT_NORMS}
+    for field, choices in options.items():
+        value = getattr(meta, field)
+        if value not in choices:
+            raise ModelError(f"unsupported {field} {value!r}; choose from {sorted(choices)}")
     if meta.class_count < 2:
         raise ModelError("need at least two classes")
     layers = _layer_stack(meta)
@@ -205,7 +205,6 @@ def init_model(
     seed: int,
     input_norm: str = "minmax",
     activation: str = "relu",
-    pooling: str = "avg",
     dtype: str = "float32",
 ) -> Network:
     """Build one of the three preset classifiers with seeded init."""
@@ -216,16 +215,9 @@ def init_model(
         init_seed=seed,
         input_norm=input_norm,
         activation=activation,
-        pooling=pooling,
         dtype=dtype,
     )
     return build_network(meta)
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -243,22 +235,6 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     dlogits[np.arange(b), labels] -= 1.0
     dlogits /= b
     return loss, dlogits
-
-
-def loss_and_grads(model: Network, batch: np.ndarray, labels: np.ndarray):
-    """Mean softmax cross-entropy and gradients for every parameter.
-
-    Returns (loss, grads) with grads keyed (layer_index, param_name),
-    shapes mirroring the parameters.
-    """
-    labels = np.asarray(labels)
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= model.meta.class_count:
-        raise ModelError(f"labels outside [0, {model.meta.class_count})")
-    x = model.apply_input_norm(batch)
-    logits, caches = model.forward_normalized(x, want_caches=True)
-    loss, dlogits = cross_entropy(logits, labels)
-    grads = model.backward(dlogits.astype(logits.dtype), caches)
-    return loss, grads
 
 
 def predict_logits(model: Network, pixels: np.ndarray, batch_size: int = 256) -> np.ndarray:
@@ -285,17 +261,15 @@ class CheckpointError(RuntimeError):
 
 
 def save_model(model: Network, path) -> None:
-    """Checkpoint: descriptor JSON + little-endian float32 tensors + digest."""
-    meta = model.meta
+    """Checkpoint: descriptor JSON + ``model.vector`` as little-endian float32 + digest.
+
+    The parameter section is the whole vector, so it lists every tensor in
+    ``parameters()`` order.  The descriptor keeps the ``"pooling": "avg"``
+    entry of earlier checkpoints, so their bytes do not change.
+    """
     descriptor = {
-        "preset": meta.preset,
-        "class_count": meta.class_count,
-        "frame_size": meta.frame_size,
-        "init_seed": meta.init_seed,
-        "input_norm": meta.input_norm,
-        "activation": meta.activation,
-        "pooling": meta.pooling,
-        "dtype": meta.dtype,
+        **dataclasses.asdict(model.meta),
+        "pooling": "avg",
         "layers": [layer.spec() for layer in model.layers],
     }
     blob = json.dumps(descriptor, sort_keys=True).encode("utf-8")
@@ -303,8 +277,7 @@ def save_model(model: Network, path) -> None:
     body += _MAGIC
     body += struct.pack("<HI", _VERSION, len(blob))
     body += blob
-    for _, _, p in model.parameters():
-        body += np.ascontiguousarray(p, dtype="<f4").tobytes()
+    body += model.vector.astype("<f4").tobytes()
     body += hashlib.sha256(bytes(body)).digest()
     with open(path, "wb") as fh:
         fh.write(bytes(body))
@@ -321,27 +294,17 @@ def load_model(path) -> Network:
     if version != _VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     descriptor = json.loads(raw[10 : 10 + blob_len].decode("utf-8"))
-    meta = ModelMeta(
-        preset=descriptor["preset"],
-        class_count=descriptor["class_count"],
-        frame_size=descriptor["frame_size"],
-        init_seed=descriptor["init_seed"],
-        input_norm=descriptor["input_norm"],
-        activation=descriptor["activation"],
-        pooling=descriptor["pooling"],
-        dtype=descriptor["dtype"],
-    )
+    if descriptor.get("pooling") != "avg":
+        raise CheckpointError(f"{path}: unsupported pooling {descriptor.get('pooling')!r}")
+    meta = ModelMeta(**{f.name: descriptor[f.name] for f in dataclasses.fields(ModelMeta)})
     model = build_network(meta)
     if descriptor.get("layers") != [layer.spec() for layer in model.layers]:
         raise CheckpointError(f"{path}: stored layers do not match the {meta.preset} topology")
-    offset = 10 + blob_len
-    for _, _, p in model.parameters():
-        n = p.size * 4
-        if offset + n > len(raw) - 32:
-            raise CheckpointError(f"{path}: truncated parameter data")
-        tensor = np.frombuffer(raw, dtype="<f4", count=p.size, offset=offset).reshape(p.shape)
-        np.copyto(p, tensor.astype(p.dtype))
-        offset += n
-    if offset != len(raw) - 32:
-        raise CheckpointError(f"{path}: trailing bytes after parameters")
+    offset, size = 10 + blob_len, model.vector.size
+    if len(raw) - 32 - offset != 4 * size:
+        raise CheckpointError(
+            f"{path}: truncated or trailing parameter data:"
+            f" {len(raw) - 32 - offset} bytes, expected {4 * size}"
+        )
+    np.copyto(model.vector, np.frombuffer(raw, dtype="<f4", count=size, offset=offset))
     return model

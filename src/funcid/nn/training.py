@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import rng
-from .network import Network, cross_entropy, predict_logits
+from .network import Network, cross_entropy
 
 
 class TrainingDivergedError(RuntimeError):
@@ -71,11 +71,6 @@ def _as_arrays(data) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(pixels), np.asarray(labels)
 
 
-def evaluate_loss(model: Network, pixels: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-    """Mean cross-entropy and accuracy over a full split."""
-    return _loss_and_accuracy(predict_logits(model, pixels), labels)
-
-
 def _loss_and_accuracy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     loss, _ = cross_entropy(logits, labels)
     return loss, float((logits.argmax(axis=1) == labels).mean())
@@ -125,8 +120,7 @@ def train(model: Network, train_data, val_data, cfg: TrainConfig) -> tuple[Netwo
                 )
             epoch_loss += batch_loss * len(yb)
             epoch_hits += int((logits.argmax(axis=1) == yb).sum())
-            grads = model.backward(dlogits.astype(logits.dtype), caches)
-            stepper(grads)
+            stepper(model.backward(dlogits.astype(logits.dtype), caches))
 
         report.train_loss.append(epoch_loss / len(x_all))
         report.train_acc.append(epoch_hits / len(x_all))
@@ -147,57 +141,51 @@ def train(model: Network, train_data, val_data, cfg: TrainConfig) -> tuple[Netwo
 
 
 def _make_stepper(cfg: TrainConfig, model: Network):
-    """Parameter-update closure: plain/momentum SGD or Adam."""
-    params = model.parameters()
+    """Update closure for one flat gradient laid out like ``model.vector``.
+
+    Plain SGD, momentum SGD and Adam each update the whole vector in place
+    with one set of ufunc calls, and each keeps its state in vectors of the
+    same layout.
+    """
+    p = model.vector
     if cfg.optimizer == "adam":
         beta1, beta2, eps = 0.9, 0.999, 1e-8
-        m_state = {(i, n): np.zeros_like(p) for i, n, p in params}
-        v_state = {(i, n): np.zeros_like(p) for i, n, p in params}
-        # Scratch shared by all parameters: one buffer in the model dtype and
-        # one float64 buffer for the step, which the float64 ``scale`` widens.
-        largest = max(p.size for _, _, p in params)
-        scratch = np.empty(largest, dtype=params[0][2].dtype)
-        wide = np.empty(largest, dtype=np.float64)
+        m = np.zeros_like(p)
+        v = np.zeros_like(p)
+        tmp = np.empty_like(p)
+        # The float64 ``scale`` widens the step, so it gets a float64 buffer.
+        wide = np.empty(p.shape, dtype=np.float64)
         step = 0
 
-        def adam_step(grads):
+        def adam_step(grad):
             nonlocal step
             step += 1
             scale = cfg.learning_rate * np.sqrt(1.0 - beta2**step) / (1.0 - beta1**step)
-            for i, name, p in params:
-                g = np.asarray(grads[(i, name)], dtype=p.dtype)
-                m = m_state[(i, name)]
-                v = v_state[(i, name)]
-                tmp = scratch[: p.size].reshape(p.shape)
-                m *= beta1
-                m += np.multiply(g, 1.0 - beta1, out=tmp)
-                v *= beta2
-                np.multiply(g, 1.0 - beta2, out=tmp)
-                v += np.multiply(tmp, g, out=tmp)
-                np.sqrt(v, out=tmp)
-                tmp += eps
-                # The quotient is rounded once, from float64 to the model
-                # dtype, before the subtraction.
-                step64 = np.multiply(m, scale, out=wide[: p.size].reshape(p.shape))
-                p -= np.divide(step64, tmp, out=tmp)
+            np.multiply(m, beta1, out=m)
+            np.add(m, np.multiply(grad, 1.0 - beta1, out=tmp), out=m)
+            np.multiply(v, beta2, out=v)
+            np.multiply(grad, 1.0 - beta2, out=tmp)
+            np.add(v, np.multiply(tmp, grad, out=tmp), out=v)
+            np.sqrt(v, out=tmp)
+            np.add(tmp, eps, out=tmp)
+            # The quotient is rounded once, from float64 to the model dtype,
+            # before the subtraction.
+            np.subtract(p, np.divide(np.multiply(m, scale, out=wide), tmp, out=tmp), out=p)
 
         return adam_step
 
     if cfg.momentum > 0.0:
-        velocity = {(i, n): np.zeros_like(p) for i, n, p in params}
+        velocity = np.zeros_like(p)
 
-        def momentum_step(grads):
-            for i, name, p in params:
-                v = velocity[(i, name)]
-                v *= cfg.momentum
-                v -= cfg.learning_rate * grads[(i, name)]
-                p += v.astype(p.dtype)
+        def momentum_step(grad):
+            np.multiply(velocity, cfg.momentum, out=velocity)
+            np.subtract(velocity, cfg.learning_rate * grad, out=velocity)
+            np.add(p, velocity, out=p)
 
         return momentum_step
 
-    def sgd_step(grads):
-        for i, name, p in params:
-            p -= (cfg.learning_rate * grads[(i, name)]).astype(p.dtype)
+    def sgd_step(grad):
+        np.subtract(p, (cfg.learning_rate * grad).astype(p.dtype), out=p)
 
     return sgd_step
 

@@ -15,18 +15,50 @@ from funcid.nn import (
     ModelError,
     TrainConfig,
     TrainingDivergedError,
-    evaluate_loss,
     init_model,
     load_model,
-    loss_and_grads,
     predict,
     predict_logits,
     save_model,
-    softmax,
     train,
 )
 from funcid.nn.layers import AvgPool2D, Conv2D, Dense, ReLU, Tanh, _im2col_index
-from funcid.nn.training import _make_stepper
+from funcid.nn.network import cross_entropy
+from funcid.nn.training import _loss_and_accuracy, _make_stepper
+
+# -- loss, gradients and softmax outside the training loop -------------------------
+
+
+def softmax(logits):
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def loss_and_grads(model, batch, labels):
+    """Mean softmax cross-entropy and the flat gradient of every parameter."""
+    labels = np.asarray(labels)
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= model.meta.class_count:
+        raise ModelError(f"labels outside [0, {model.meta.class_count})")
+    x = model.apply_input_norm(batch)
+    logits, caches = model.forward_normalized(x, want_caches=True)
+    loss, dlogits = cross_entropy(logits, labels)
+    return loss, model.backward(dlogits.astype(logits.dtype), caches)
+
+
+def evaluate_loss(model, pixels, labels):
+    """Mean cross-entropy and accuracy over a full split."""
+    return _loss_and_accuracy(predict_logits(model, pixels), labels)
+
+
+def grads_by_param(model, flat):
+    """A flat gradient split at parameters() offsets, keyed (layer index, name)."""
+    out, offset = {}, 0
+    for i, name, p in model.parameters():
+        out[(i, name)] = flat[offset : offset + p.size].reshape(p.shape)
+        offset += p.size
+    assert offset == flat.size
+    return out
 
 
 def finite_difference_worst_error(model, x, y, coords_per_param, h_scale, seed):
@@ -40,11 +72,11 @@ def finite_difference_worst_error(model, x, y, coords_per_param, h_scale, seed):
 
     from funcid.nn.network import build_network
 
-    loss, grads = loss_and_grads(model, x, y)
+    loss, flat = loss_and_grads(model, x, y)
+    grads = grads_by_param(model, flat)
 
     twin = build_network(replace(model.meta, dtype="float64"))
-    for (_, _, dst), (_, _, src) in zip(twin.parameters(), model.parameters()):
-        np.copyto(dst, src.astype(np.float64))
+    np.copyto(twin.vector, model.vector)
 
     gen = np.random.default_rng(seed)
     worst = 0.0
@@ -72,7 +104,20 @@ def finite_difference_worst_error(model, x, y, coords_per_param, h_scale, seed):
 class TestInitModel:
     def test_perceptron1_parameter_count(self):
         model = init_model("perceptron1", 24, 32, seed=1)
-        assert model.parameter_count() == 24 * 1024 + 24
+        assert model.vector.size == 24 * 1024 + 24
+
+    def test_parameters_are_views_of_one_vector(self):
+        model = init_model("lenet5", 3, 16, seed=1, dtype="float64")
+        params = model.parameters()
+        assert model.vector.dtype == np.float64 and model.vector.flags.c_contiguous
+        assert np.array_equal(model.vector, np.concatenate([p.reshape(-1) for _, _, p in params]))
+        for _, _, p in params:
+            assert np.shares_memory(p, model.vector)
+        clone = model.copy()
+        assert not np.shares_memory(clone.vector, model.vector)
+        assert_same_bytes(clone.vector, model.vector)
+        model.vector[-1] = 7.0
+        assert params[-1][2][-1] == 7.0 and clone.vector[-1] != 7.0
 
     def test_perceptron3_layer_sizes(self):
         model = init_model("perceptron3", 24, 32, seed=1)
@@ -103,6 +148,13 @@ class TestInitModel:
     def test_unknown_preset(self):
         with pytest.raises(ModelError):
             init_model("resnet", 24, 32, seed=1)
+
+    @pytest.mark.parametrize(
+        "option,value", [("activation", "sigmoid"), ("input_norm", "zscore"), ("dtype", "float16")]
+    )
+    def test_unknown_option_rejected(self, option, value):
+        with pytest.raises(ModelError, match=f"unsupported {option} {value!r}"):
+            init_model("perceptron3", 3, 8, seed=1, **{option: value})
 
 
 # -- forward --------------------------------------------------------------------
@@ -195,7 +247,9 @@ class TestLossAndGrads:
     def test_grad_shapes_mirror_params(self):
         model = init_model("lenet5", 3, 16, seed=2)
         x = np.random.default_rng(1).random((4, 16, 16)).astype(np.float32)
-        _, grads = loss_and_grads(model, x, np.array([0, 1, 2, 1]))
+        _, flat = loss_and_grads(model, x, np.array([0, 1, 2, 1]))
+        assert flat.shape == model.vector.shape and flat.dtype == model.vector.dtype
+        grads = grads_by_param(model, flat)
         for i, name, p in model.parameters():
             assert grads[(i, name)].shape == p.shape
 
@@ -208,8 +262,8 @@ class TestGradientOracle:
         [
             ("perceptron3", 8, {}),
             ("perceptron3", 8, {"activation": "tanh"}),
-            ("lenet5", 16, {"pooling": "avg"}),
-            ("lenet5", 16, {"pooling": "max", "activation": "tanh"}),
+            ("lenet5", 16, {}),
+            ("lenet5", 16, {"activation": "tanh"}),
         ],
     )
     def test_float64_tight(self, preset, frame, kwargs):
@@ -244,7 +298,9 @@ class TestGradientOracle:
 
 
 def reference_avgpool_forward(layer, x):
-    return layer._blocks(x).mean(axis=(4, 5))
+    b, c, h, w = x.shape
+    s = layer.size
+    return x.reshape(b, c, h // s, s, w // s, s).transpose(0, 1, 2, 4, 3, 5).mean(axis=(4, 5))
 
 
 def reference_conv_backward(layer, grad_y, cache):
@@ -434,7 +490,6 @@ class TestReferenceOracles:
             ("perceptron3", 8, {"activation": "tanh"}),
             ("lenet5", 16, {}),
             ("lenet5", 16, {"activation": "tanh"}),
-            ("lenet5", 16, {"pooling": "max"}),
             ("lenet5", 32, {}),
             ("lenet5", 16, {"dtype": "float64"}),
         ],
@@ -444,7 +499,8 @@ class TestReferenceOracles:
         gen = np.random.default_rng(2)
         x = gen.random((16, frame, frame)).astype(np.float32)
         y = gen.integers(0, 5, 16)
-        loss, grads = loss_and_grads(model, x, y)
+        loss, flat = loss_and_grads(model, x, y)
+        grads = grads_by_param(model, flat)
         ref_loss, ref_grads = reference_loss_and_grads(model, x, y)
         assert loss == ref_loss
         assert sorted(grads) == sorted(ref_grads)
@@ -488,7 +544,7 @@ class TestReferenceOracles:
             x = gen.random((8, frame, frame)).astype(np.float32)
             y = gen.integers(0, 3, 8)
             fast_step(loss_and_grads(fast, x, y)[1])
-            slow_step(loss_and_grads(slow, x, y)[1])
+            slow_step(grads_by_param(slow, loss_and_grads(slow, x, y)[1]))
         for (_, _, a), (_, _, b) in zip(fast.parameters(), slow.parameters()):
             assert_same_bytes(a, b)
 
@@ -539,15 +595,15 @@ class TestConvDataMovement:
                     assert_same_bytes(grads_only[name], ref_grads[name])
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    @pytest.mark.parametrize("activation,pooling", [("relu", "avg"), ("tanh", "avg"), ("relu", "max")])
-    def test_training_matches_legacy(self, activation, pooling, dtype):
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_training_matches_legacy(self, activation, dtype):
         # 65 images at batch 64: each epoch ends with a 1-image batch, which
         # runs the B = 1 GEMM shapes.
         gen = np.random.default_rng(8)
         x = gen.random((65, 32, 32)).astype(np.float32)
         y = gen.integers(0, 4, 65)
         cfg = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=64, seed=2, optimizer="adam")
-        kwargs = {"activation": activation, "pooling": pooling, "dtype": dtype}
+        kwargs = {"activation": activation, "dtype": dtype}
         fast = init_model("lenet5", 4, 32, seed=5, **kwargs)
         legacy = init_model("lenet5", 4, 32, seed=5, **kwargs)
         for layer in legacy.layers:
@@ -713,7 +769,8 @@ def rewrite_checkpoint(path, descriptor=None, params=None):
     """Replace the descriptor and/or parameter bytes, then re-digest the file."""
     old_descriptor, old_params = read_checkpoint(path)
     blob = json.dumps(descriptor or old_descriptor, sort_keys=True).encode("utf-8")
-    body = b"LMDL" + struct.pack("<HI", 1, len(blob)) + blob + (old_params if params is None else params)
+    params = old_params if params is None else params
+    body = b"LMDL" + struct.pack("<HI", 1, len(blob)) + blob + params
     path.write_bytes(body + hashlib.sha256(body).digest())
 
 
@@ -747,18 +804,36 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="stored layers"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "option,value,error",
+        [
+            ("activation", "sigmoid", ModelError),
+            ("input_norm", "zscore", ModelError),
+            ("pooling", "max", CheckpointError),
+        ],
+    )
+    def test_unknown_option_in_checkpoint(self, tmp_path, option, value, error):
+        path = tmp_path / "model.lmdl"
+        save_model(init_model("perceptron3", 3, 8, seed=3), path)
+        descriptor, _ = read_checkpoint(path)
+        assert descriptor["pooling"] == "avg"
+        descriptor[option] = value
+        rewrite_checkpoint(path, descriptor=descriptor)
+        with pytest.raises(error, match=f"unsupported {option} {value!r}"):
+            load_model(path)
+
     @pytest.mark.parametrize("preset,dtype", [("perceptron3", "float32"), ("lenet5", "float64")])
     def test_parameter_section_layout(self, tmp_path, preset, dtype):
         model = init_model(preset, 5, 16, seed=3, dtype=dtype)
         path = tmp_path / "model.lmdl"
         save_model(model, path)
         _, params = read_checkpoint(path)
-        expected = b"".join(np.ascontiguousarray(p, "<f4").tobytes() for _, _, p in model.parameters())
-        assert params == expected
+        tensors = [np.ascontiguousarray(p, "<f4").tobytes() for _, _, p in model.parameters()]
+        assert params == b"".join(tensors)
 
     @pytest.mark.parametrize(
         "edit,message",
-        [(lambda params: params[:-4], "truncated"), (lambda params: params + b"\0" * 4, "trailing")],
+        [(lambda b: b[:-4], "truncated"), (lambda b: b + b"\0" * 4, "trailing")],
         ids=["one-float-short", "four-bytes-extra"],
     )
     def test_parameter_size_mismatch_detected(self, tmp_path, edit, message):
