@@ -135,14 +135,21 @@ def min_max(pixels: np.ndarray) -> np.ndarray:
 
     A constant image maps to zeros.  This one expression normalizes both the
     network input and the exported grayscale images; non-finite pixels raise
-    ModelError.
+    ModelError.  The per-image min and max carry any NaN or infinity, so they
+    alone are checked.  The output is the one array of the input's size that
+    this allocates: the subtraction writes it, and the division and the
+    zeroing of constant images run in place.
     """
-    _check_finite(pixels)
     lo = pixels.min(axis=(-2, -1), keepdims=True)
-    span = pixels.max(axis=(-2, -1), keepdims=True) - lo
-    safe = np.where(span == 0.0, 1.0, span)
-    out = (pixels - lo) / safe
-    return np.where(span == 0.0, 0.0, out).astype(pixels.dtype)
+    hi = pixels.max(axis=(-2, -1), keepdims=True)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ModelError("non-finite pixel values")
+    span = hi - lo
+    constant = span == 0.0
+    out = np.subtract(pixels, lo)
+    np.divide(out, np.where(constant, 1.0, span), out=out)
+    np.copyto(out, 0.0, where=constant)
+    return out
 
 
 def _layer_stack(meta: ModelMeta) -> list[Layer]:
@@ -296,8 +303,15 @@ def load_model(path) -> Network:
     descriptor = json.loads(raw[10 : 10 + blob_len].decode("utf-8"))
     if descriptor.get("pooling") != "avg":
         raise CheckpointError(f"{path}: unsupported pooling {descriptor.get('pooling')!r}")
-    meta = ModelMeta(**{f.name: descriptor[f.name] for f in dataclasses.fields(ModelMeta)})
-    model = build_network(meta)
+    names = [f.name for f in dataclasses.fields(ModelMeta)]
+    missing = [name for name in names if name not in descriptor]
+    if missing:
+        raise CheckpointError(f"{path}: descriptor lacks {', '.join(missing)}")
+    meta = ModelMeta(**{name: descriptor[name] for name in names})
+    try:
+        model = build_network(meta)
+    except ModelError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     if descriptor.get("layers") != [layer.spec() for layer in model.layers]:
         raise CheckpointError(f"{path}: stored layers do not match the {meta.preset} topology")
     offset, size = 10 + blob_len, model.vector.size

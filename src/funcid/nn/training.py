@@ -140,37 +140,55 @@ def train(model: Network, train_data, val_data, cfg: TrainConfig) -> tuple[Netwo
     return best, report
 
 
-def _make_stepper(cfg: TrainConfig, model: Network):
-    """Update closure for one flat gradient laid out like ``model.vector``.
+# Elements per optimizer block.  The stepper's only scratch is one block:
+# 128 KB of float32, plus 256 KB of float64 for Adam.  That fits a 2 MB L2
+# cache together with the block's slices of the parameter, gradient and state
+# vectors.  Smaller blocks save no memory that matters and cost a dozen more
+# ufunc calls per block.
+_BLOCK = 32_768
 
-    Plain SGD, momentum SGD and Adam each update the whole vector in place
-    with one set of ufunc calls, and each keeps its state in vectors of the
-    same layout.
+
+def _make_stepper(cfg: TrainConfig, model: Network):
+    """Update closure for one flat gradient with ``model.vector``'s layout and dtype.
+
+    Plain SGD, momentum SGD and Adam each update the vector in place, block
+    by block, with one set of ufunc calls per block of ``_BLOCK`` elements.
+    Every element sees the same ufuncs, operand dtypes and operation order
+    whatever the block size, so the updated bytes do not depend on it.  The
+    working set is the optimizer's state (``velocity``, or Adam's ``m`` and
+    ``v``), each a vector laid out like ``model.vector``, plus one block of
+    scratch: no temporary grows with the model.
     """
     p = model.vector
+    block = min(_BLOCK, p.size)
+    spans = [slice(start, start + block) for start in range(0, p.size, block)]
+    tmp = np.empty(block, dtype=p.dtype)
+
     if cfg.optimizer == "adam":
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         m = np.zeros_like(p)
         v = np.zeros_like(p)
-        tmp = np.empty_like(p)
         # The float64 ``scale`` widens the step, so it gets a float64 buffer.
-        wide = np.empty(p.shape, dtype=np.float64)
+        wide = np.empty(block, dtype=np.float64)
         step = 0
 
         def adam_step(grad):
             nonlocal step
             step += 1
             scale = cfg.learning_rate * np.sqrt(1.0 - beta2**step) / (1.0 - beta1**step)
-            np.multiply(m, beta1, out=m)
-            np.add(m, np.multiply(grad, 1.0 - beta1, out=tmp), out=m)
-            np.multiply(v, beta2, out=v)
-            np.multiply(grad, 1.0 - beta2, out=tmp)
-            np.add(v, np.multiply(tmp, grad, out=tmp), out=v)
-            np.sqrt(v, out=tmp)
-            np.add(tmp, eps, out=tmp)
-            # The quotient is rounded once, from float64 to the model dtype,
-            # before the subtraction.
-            np.subtract(p, np.divide(np.multiply(m, scale, out=wide), tmp, out=tmp), out=p)
+            for s in spans:
+                g, ps, ms, vs = grad[s], p[s], m[s], v[s]
+                t, w = tmp[: g.size], wide[: g.size]
+                np.multiply(ms, beta1, out=ms)
+                np.add(ms, np.multiply(g, 1.0 - beta1, out=t), out=ms)
+                np.multiply(vs, beta2, out=vs)
+                np.multiply(g, 1.0 - beta2, out=t)
+                np.add(vs, np.multiply(t, g, out=t), out=vs)
+                np.sqrt(vs, out=t)
+                np.add(t, eps, out=t)
+                # The quotient is rounded once, from float64 to the model
+                # dtype, before the subtraction.
+                np.subtract(ps, np.divide(np.multiply(ms, scale, out=w), t, out=t), out=ps)
 
         return adam_step
 
@@ -178,14 +196,18 @@ def _make_stepper(cfg: TrainConfig, model: Network):
         velocity = np.zeros_like(p)
 
         def momentum_step(grad):
-            np.multiply(velocity, cfg.momentum, out=velocity)
-            np.subtract(velocity, cfg.learning_rate * grad, out=velocity)
-            np.add(p, velocity, out=p)
+            for s in spans:
+                g, ps, vel = grad[s], p[s], velocity[s]
+                np.multiply(vel, cfg.momentum, out=vel)
+                np.subtract(vel, np.multiply(g, cfg.learning_rate, out=tmp[: g.size]), out=vel)
+                np.add(ps, vel, out=ps)
 
         return momentum_step
 
     def sgd_step(grad):
-        np.subtract(p, (cfg.learning_rate * grad).astype(p.dtype), out=p)
+        for s in spans:
+            g, ps = grad[s], p[s]
+            np.subtract(ps, np.multiply(g, cfg.learning_rate, out=tmp[: g.size]), out=ps)
 
     return sgd_step
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import struct
 import sys
 import types
 from pathlib import Path
@@ -15,6 +17,7 @@ import funcid.experiments
 from funcid.cli import main
 from funcid.datasets import load
 from funcid.experiments import ExperimentError, ExperimentPreset
+from funcid.nn import init_model, save_model
 from funcid.suite import Suite, evaluate, make_instance, problem
 
 
@@ -249,6 +252,24 @@ class TestGenerateTrainEval:
         assert main(["eval", "--model", str(model), "--data", str(test_limg)]) == 1
         err = capsys.readouterr().err
         assert err.count("runtime failure: ") == 2
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.pop("dtype"), "descriptor lacks dtype"),
+        (lambda d: d.update(activation="sigmoid"), "unsupported activation 'sigmoid'"),
+    ], ids=["missing-key", "unknown-value"])
+    def test_bad_checkpoint_exits_1(self, edit, message, tiny_data, tmp_path, capsys):
+        model = tmp_path / "model.lmdl"
+        save_model(init_model("perceptron1", 24, 8, seed=0), model)
+        raw = model.read_bytes()
+        (blob_len,) = struct.unpack("<I", raw[6:10])
+        descriptor = json.loads(raw[10 : 10 + blob_len])
+        edit(descriptor)
+        blob = json.dumps(descriptor, sort_keys=True).encode("utf-8")
+        body = raw[:6] + struct.pack("<I", len(blob)) + blob + raw[10 + blob_len : -32]
+        model.write_bytes(body + hashlib.sha256(body).digest())
+        assert main(["eval", "--model", str(model), "--data", str(tiny_data / "test.limg")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: ") and message in err
 
 
 class TestJobsFlag:

@@ -391,6 +391,34 @@ class TestQueryBudget:
 # -- finalize and export --------------------------------------------------------
 
 
+def reference_min_max(pixels):
+    """Per-image min-max as three full-size temporaries: ``min_max``'s byte oracle."""
+    if not np.all(np.isfinite(pixels)):
+        raise ModelError("non-finite pixel values")
+    lo = pixels.min(axis=(-2, -1), keepdims=True)
+    span = pixels.max(axis=(-2, -1), keepdims=True) - lo
+    safe = np.where(span == 0.0, 1.0, span)
+    out = (pixels - lo) / safe
+    return np.where(span == 0.0, 0.0, out).astype(pixels.dtype)
+
+
+def minmax_batch(dtype):
+    """Mixed-sign images of several magnitudes, a positive one and three constant ones.
+
+    The constant images are 4.5, all -0.0, and -0.0 and +0.0 alternating.
+    numpy's vectorized minimum can return +0.0 for the last one, and then
+    ``pixels - lo`` keeps -0.0 where the image has it.
+    """
+    gen = np.random.default_rng(11)
+    scales = np.array([1.0, 1e3, 1e-3, 1.0, 1.0, 1.0, 1.0])
+    batch = gen.standard_normal((7, 4, 8)) * scales[:, None, None]
+    batch[3] = 4.5
+    batch[4] = -0.0
+    batch[5] = np.abs(batch[5]) + 1.0
+    batch[6] = np.where(np.arange(32).reshape(4, 8) % 2, 0.0, -0.0)
+    return batch.astype(dtype)
+
+
 class TestFinalize:
     def test_minmax_map(self):
         pixels = np.array([[0.0, 10.0], [5.0, 10.0]])
@@ -406,6 +434,24 @@ class TestFinalize:
             min_max(np.array([[np.nan, 1.0]]))
         with pytest.raises(ModelError):
             write_pgm(tmp_path / "nan.pgm", np.array([[np.nan, 1.0]]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_minmax_matches_reference_bytes(self, dtype):
+        batch = minmax_batch(dtype)
+        # 3-D is the network input; 2-D, one image at a time, the export path.
+        for pixels in (batch, *batch):
+            out, expected = min_max(pixels), reference_min_max(pixels)
+            assert out.dtype == expected.dtype == dtype and out.shape == expected.shape
+            assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_finite_pixel_rejected(self, bad, dtype):
+        batch = minmax_batch(dtype)
+        batch[2, 1, 3] = bad
+        for pixels in (batch, batch[2]):
+            with pytest.raises(ModelError, match="non-finite pixel values"):
+                min_max(pixels)
 
     def test_pgm_scales_in_float64(self, tmp_path):
         # 2.5 + 1e-7 stays above 2.5 in float64 (gray 3) but rounds to 2.5 in

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import tracemalloc
 import types
 
 import numpy as np
@@ -21,9 +22,10 @@ from funcid.nn import (
     predict_logits,
     save_model,
     train,
+    training,
 )
 from funcid.nn.layers import AvgPool2D, Conv2D, Dense, ReLU, Tanh, _im2col_index
-from funcid.nn.network import cross_entropy
+from funcid.nn.network import cross_entropy, min_max
 from funcid.nn.training import _loss_and_accuracy, _make_stepper
 
 # -- loss, gradients and softmax outside the training loop -------------------------
@@ -447,6 +449,11 @@ def assert_same_bytes(a, b):
     assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
+OPTIMIZERS = pytest.mark.parametrize(
+    "optimizer,momentum", [("adam", 0.0), ("sgd", 0.0), ("sgd", 0.9)]
+)
+
+
 class TestReferenceOracles:
     @pytest.mark.parametrize("activation", [ReLU, Tanh])
     def test_avgpool_forward_on_conv_layout(self, activation):
@@ -520,7 +527,7 @@ class TestReferenceOracles:
         ref_acc = float((logits.argmax(axis=1) == y).mean())
         assert evaluate_loss(model, x, y) == (ref_loss, ref_acc)
 
-    @pytest.mark.parametrize("optimizer,momentum", [("adam", 0.0), ("sgd", 0.0), ("sgd", 0.9)])
+    @OPTIMIZERS
     @pytest.mark.parametrize(
         "preset,frame,dtype",
         [
@@ -531,22 +538,80 @@ class TestReferenceOracles:
         ],
     )
     def test_optimizer_steps(self, preset, frame, dtype, optimizer, momentum):
-        cfg = TrainConfig(learning_rate=1e-2, epochs=1, optimizer=optimizer, momentum=momentum)
-        fast = init_model(preset, 3, frame, seed=3, dtype=dtype)
-        slow = init_model(preset, 3, frame, seed=3, dtype=dtype)
-        fast_step = _make_stepper(cfg, fast)
-        if optimizer == "adam":
-            slow_step = reference_adam_stepper(cfg.learning_rate, slow)
-        else:
-            slow_step = reference_sgd_stepper(cfg.learning_rate, cfg.momentum, slow)
-        gen = np.random.default_rng(6)
-        for _ in range(5):
-            x = gen.random((8, frame, frame)).astype(np.float32)
-            y = gen.integers(0, 3, 8)
-            fast_step(loss_and_grads(fast, x, y)[1])
-            slow_step(grads_by_param(slow, loss_and_grads(slow, x, y)[1]))
-        for (_, _, a), (_, _, b) in zip(fast.parameters(), slow.parameters()):
-            assert_same_bytes(a, b)
+        assert_steps_match_reference(preset, frame, dtype, optimizer, momentum)
+
+    @pytest.mark.parametrize("block", ["odd", "past-end"])
+    @OPTIMIZERS
+    @pytest.mark.parametrize(
+        "preset,frame,dtype",
+        [("perceptron3", 8, "float32"), ("lenet5", 16, "float32"), ("lenet5", 16, "float64")],
+    )
+    def test_optimizer_steps_across_blocks(
+        self, monkeypatch, preset, frame, dtype, optimizer, momentum, block
+    ):
+        # Seven-element blocks leave a partial last block on every model
+        # here; a block past the end of the vector is one partial block.
+        size = init_model(preset, 3, frame, seed=3, dtype=dtype).vector.size
+        assert size % 7
+        monkeypatch.setattr(training, "_BLOCK", 7 if block == "odd" else size + 1)
+        assert_steps_match_reference(preset, frame, dtype, optimizer, momentum)
+
+
+def assert_steps_match_reference(preset, frame, dtype, optimizer, momentum):
+    """Five steps of ``_make_stepper`` leave the per-tensor reference's bytes."""
+    cfg = TrainConfig(learning_rate=1e-2, epochs=1, optimizer=optimizer, momentum=momentum)
+    fast = init_model(preset, 3, frame, seed=3, dtype=dtype)
+    slow = init_model(preset, 3, frame, seed=3, dtype=dtype)
+    fast_step = _make_stepper(cfg, fast)
+    if optimizer == "adam":
+        slow_step = reference_adam_stepper(cfg.learning_rate, slow)
+    else:
+        slow_step = reference_sgd_stepper(cfg.learning_rate, cfg.momentum, slow)
+    gen = np.random.default_rng(6)
+    for _ in range(5):
+        x = gen.random((8, frame, frame)).astype(np.float32)
+        y = gen.integers(0, 3, 8)
+        fast_step(loss_and_grads(fast, x, y)[1])
+        slow_step(grads_by_param(slow, loss_and_grads(slow, x, y)[1]))
+    for (_, _, a), (_, _, b) in zip(fast.parameters(), slow.parameters()):
+        assert_same_bytes(a, b)
+
+
+def traced_peak(fn):
+    """Peak bytes traced while ``fn`` runs, above what was traced before it.
+
+    numpy reports its array buffers to ``tracemalloc``, so this counts every
+    array the call allocates, including any it returns.
+    """
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """The optimizer keeps only its state whole; ``min_max`` only its output."""
+
+    @pytest.mark.parametrize(
+        "optimizer,momentum,bound",
+        # Adam's m and v, momentum's velocity, and one block of scratch.
+        [("adam", 0.0, 3.0), ("sgd", 0.9, 1.5), ("sgd", 0.0, 0.5)],
+    )
+    def test_stepper_build_and_step(self, optimizer, momentum, bound):
+        model = init_model("perceptron3", 24, 32, seed=3)
+        grad = np.random.default_rng(0).standard_normal(model.vector.size).astype(np.float32)
+        cfg = TrainConfig(learning_rate=1e-3, epochs=1, optimizer=optimizer, momentum=momentum)
+        assert model.vector.size > 4 * training._BLOCK
+        peak = traced_peak(lambda: _make_stepper(cfg, model)(grad))
+        assert peak < bound * model.vector.nbytes
+
+    def test_min_max_allocates_one_output(self):
+        pixels = np.random.default_rng(0).standard_normal((960, 32, 32)).astype(np.float32)
+        assert traced_peak(lambda: min_max(pixels)) < 1.5 * pixels.nbytes
 
 
 def channel_last(a):
@@ -807,8 +872,9 @@ class TestCheckpoints:
     @pytest.mark.parametrize(
         "option,value,error",
         [
-            ("activation", "sigmoid", ModelError),
-            ("input_norm", "zscore", ModelError),
+            ("activation", "sigmoid", CheckpointError),
+            ("input_norm", "zscore", CheckpointError),
+            ("dtype", "float16", CheckpointError),
             ("pooling", "max", CheckpointError),
         ],
     )
@@ -820,6 +886,25 @@ class TestCheckpoints:
         descriptor[option] = value
         rewrite_checkpoint(path, descriptor=descriptor)
         with pytest.raises(error, match=f"unsupported {option} {value!r}"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda d: d.pop("dtype"), "descriptor lacks dtype"),
+            (lambda d: [d.pop(k) for k in ("frame_size", "preset")], "lacks preset, frame_size"),
+            (lambda d: d.update(preset="resnet"), "unknown preset 'resnet'"),
+            (lambda d: d.update(class_count=1), "need at least two classes"),
+        ],
+        ids=["no-dtype", "no-preset-or-frame", "unknown-preset", "one-class"],
+    )
+    def test_bad_meta_in_checkpoint(self, tmp_path, edit, message):
+        path = tmp_path / "model.lmdl"
+        save_model(init_model("perceptron3", 3, 8, seed=3), path)
+        descriptor, _ = read_checkpoint(path)
+        edit(descriptor)
+        rewrite_checkpoint(path, descriptor=descriptor)
+        with pytest.raises(CheckpointError, match=message):
             load_model(path)
 
     @pytest.mark.parametrize("preset,dtype", [("perceptron3", "float32"), ("lenet5", "float64")])
