@@ -295,14 +295,34 @@ class TestGradientOracle:
 # backward descent through every layer, and an Adam step built from
 # temporaries.  ``legacy_conv_forward``/``legacy_conv_backward`` keep the
 # earlier Conv2D data movement: the as-strided im2col, the broadcast bias add
-# and the per-sample ``W.T @ gy`` col2im.  The fast paths must reproduce
-# their bytes.
+# and the per-sample ``W.T @ gy`` col2im.  ``legacy_avgpool_forward``/
+# ``legacy_avgpool_backward`` keep the earlier AvgPool2D, which returns NCHW-
+# contiguous arrays: strided taps summed into a C-order copy, and the
+# gradient upsampled by two ``np.repeat`` calls and an ``astype``.  The fast
+# paths must reproduce their bytes.
 
 
 def reference_avgpool_forward(layer, x):
     b, c, h, w = x.shape
     s = layer.size
     return x.reshape(b, c, h // s, s, w // s, s).transpose(0, 1, 2, 4, 3, 5).mean(axis=(4, 5))
+
+
+def legacy_avgpool_forward(layer, x):
+    s = layer.size
+    taps = [x[:, :, i::s, j::s] for i in range(s) for j in range(s)]
+    y = taps[0].copy()
+    for tap in taps[1:]:
+        y += tap
+    y /= s * s
+    return y, x.shape
+
+
+def legacy_avgpool_backward(layer, grad_y, cache):
+    s = layer.size
+    scaled = grad_y / (s * s)
+    dx = np.repeat(np.repeat(scaled, s, axis=2), s, axis=3)
+    return dx.astype(grad_y.dtype), {}
 
 
 def reference_conv_backward(layer, grad_y, cache):
@@ -468,8 +488,8 @@ class TestReferenceOracles:
             assert_same_bytes(out, reference_avgpool_forward(pool, y))
             # The upsampled gradient keeps the incoming dtype.
             grad_y = np.random.default_rng(2).standard_normal(out.shape).astype(dtype)
-            upsampled = np.repeat(np.repeat(grad_y / 4, 2, axis=2), 2, axis=3)
-            assert_same_bytes(pool.backward(grad_y, cache)[0], upsampled.astype(dtype))
+            upsampled, _ = legacy_avgpool_backward(pool, grad_y, cache)
+            assert_same_bytes(pool.backward(grad_y, cache)[0], upsampled)
 
     def test_conv_backward(self):
         gen = np.random.default_rng(4)
@@ -661,20 +681,27 @@ class TestConvDataMovement:
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_training_matches_legacy(self, activation, dtype):
-        # 65 images at batch 64: each epoch ends with a 1-image batch, which
-        # runs the B = 1 GEMM shapes.
+    @pytest.mark.parametrize("images", [65, 66])
+    def test_training_matches_legacy(self, images, activation, dtype):
+        # At batch 64 each epoch ends with a 1- or 2-image batch: 65 images
+        # run the B = 1 GEMM shapes, 66 the smallest B > 1 ones.  The twin
+        # runs the whole legacy conv and pool stack.
         gen = np.random.default_rng(8)
-        x = gen.random((65, 32, 32)).astype(np.float32)
-        y = gen.integers(0, 4, 65)
+        x = gen.random((images, 32, 32)).astype(np.float32)
+        y = gen.integers(0, 4, images)
         cfg = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=64, seed=2, optimizer="adam")
         kwargs = {"activation": activation, "dtype": dtype}
         fast = init_model("lenet5", 4, 32, seed=5, **kwargs)
         legacy = init_model("lenet5", 4, 32, seed=5, **kwargs)
+        legacy_methods = {
+            Conv2D: (legacy_conv_forward, legacy_conv_backward),
+            AvgPool2D: (legacy_avgpool_forward, legacy_avgpool_backward),
+        }
         for layer in legacy.layers:
-            if isinstance(layer, Conv2D):
-                layer.forward = types.MethodType(legacy_conv_forward, layer)
-                layer.backward = types.MethodType(legacy_conv_backward, layer)
+            for kind, (forward, backward) in legacy_methods.items():
+                if isinstance(layer, kind):
+                    layer.forward = types.MethodType(forward, layer)
+                    layer.backward = types.MethodType(backward, layer)
         fast_best, fast_report = train(fast, (x, y), None, cfg)
         legacy_best, legacy_report = train(legacy, (x, y), None, cfg)
         assert fast_report.train_loss == legacy_report.train_loss
@@ -682,6 +709,7 @@ class TestConvDataMovement:
         for net_a, net_b in ((fast, legacy), (fast_best, legacy_best)):
             for (_, _, a), (_, _, b) in zip(net_a.parameters(), net_b.parameters()):
                 assert_same_bytes(a, b)
+        assert_same_bytes(predict_logits(fast_best, x), predict_logits(legacy_best, x))
 
     def test_im2col_index_is_cached_and_read_only(self):
         index = _im2col_index(6, 14, 14, 5)
