@@ -11,25 +11,42 @@ Layers with parameters (``Dense``, ``Conv2D``) also take
 param_grads)`` and skips the input-gradient product.  ``Network.backward``
 passes it to the lowest such layer, whose input gradient nothing consumes.
 
-``Conv2D`` lowers convolution to GEMM, and trained weights depend on the
-order of its operations, so that order is pinned.  Only the data movement
-around the products may change:
+The conv stack keeps one memory layout.  Shapes stay (B, C, H, W), but
+every activation and gradient between a ``Conv2D`` GEMM and ``Flatten`` is
+channel-last: its memory order is (B, H, W, C), so ``a.transpose(0, 2, 3,
+1)`` is C-contiguous.  Element-wise layers keep their input's layout, and
+``Flatten``'s reshape copies into the (C, H, W) order the first ``Dense``
+layer reads.  Trained weights depend on the order of the arithmetic, so
+that order is pinned; only the data movement around it may change:
 
-* ``cols`` is a C-contiguous (B, L, C*k*k) copy of the input, L = ho*wo in
-  row-major (oy, ox) order and K in (c, i, j) order, matching ``W``'s
-  (channels, C, k, k) layout.  It is a pure gather, exact in any form;
+* ``cols`` is a C-contiguous (B, L, C*k*k) gather of the channel-last input,
+  L = ho*wo in row-major (oy, ox) order and K in (c, i, j) order, matching
+  ``W``'s (channels, C, k, k) layout.  A pure gather is exact in any form;
 * the forward output is ``cols @ W_mat`` with ``W_mat`` the transposed
   (channels, C*k*k) view of ``W``; the bias is added after the product,
-  one add per element;
-* ``flat_gy`` is the output gradient as C-contiguous (B*L, channels) rows,
-  in (b, oy, ox) order.  ``dW`` is one GEMM ``flat_cols.T @ flat_gy`` over
-  all B*L rows, and ``db`` is the column sum of ``flat_gy``, row by row;
+  one add per element.  The (B, L, channels) product is the channel-last
+  output itself;
+* ``flat_gy`` is the output gradient as (B*L, channels) rows in (b, oy, ox)
+  order: C-contiguous for B > 1, a free reshape of a channel-last gradient.
+  For B = 1 it is the transposed (L, channels) view of the sample's
+  C-contiguous (channels, L) gradient: the BLAS kernel and the column sum
+  follow the operand layout, and a C-contiguous (L, channels) operand
+  gives a 1-image batch other bytes.  ``dW`` is one GEMM
+  ``flat_cols.T @ flat_gy`` over all B*L rows, and ``db`` is the column sum
+  of ``flat_gy``;
 * the input gradient's products are the per-sample ``W_mat.T @ gy[b]``,
-  (C*k*k, channels) @ (channels, L), in one batched matmul.  One 2-D
-  product over all L*B columns is not equivalent: the BLAS picks its kernel
-  and its edge handling by shape, and in float64 the last columns of an odd
-  batch come out different.  col2im accumulates the k*k taps into a zeroed
-  buffer, i-major and j-minor, from +0.0.
+  (C*k*k, channels) @ (channels, L), on a C-contiguous (B, channels, L)
+  ``gy``, in one batched matmul.  One 2-D product over all L*B columns is
+  not equivalent: the BLAS picks its kernel and its edge handling by shape,
+  and in float64 the last columns of an odd batch come out different.
+  col2im accumulates the k*k taps into a zeroed buffer, i-major and
+  j-minor, from +0.0.
+
+``AvgPool2D`` sums its window taps in row-major tap order, (0, 0), (0, 1),
+..., each output element as ``((t00 + t01) + t10) + t11`` for size 2, then
+divides by size*size: the summation order of ``mean`` over the window axes.
+Its gradient is the output gradient divided by size*size, one write per
+input element.
 """
 
 from __future__ import annotations
@@ -102,15 +119,15 @@ class Dense(Layer):
 
 @functools.lru_cache(maxsize=8)
 def _im2col_index(c: int, h: int, w: int, k: int) -> np.ndarray:
-    """Read-only (L, C*k*k) offsets into a flat (C, H, W) sample: ``cols``'s
-    element (l, (c, i, j)) with l = oy*wo + ox reads x[c, oy + i, ox + j]."""
+    """Read-only (L, C*k*k) offsets into a flat (H, W, C) sample: ``cols``'s
+    element (l, (c, i, j)) with l = oy*wo + ox reads x[oy + i, ox + j, c]."""
     ho, wo = h - k + 1, w - k + 1
     oy = np.arange(ho).reshape(ho, 1, 1, 1, 1)
     ox = np.arange(wo).reshape(1, wo, 1, 1, 1)
     ch = np.arange(c).reshape(1, 1, c, 1, 1)
     i = np.arange(k).reshape(1, 1, 1, k, 1)
     j = np.arange(k).reshape(1, 1, 1, 1, k)
-    index = (ch * h * w + (oy + i) * w + (ox + j)).reshape(ho * wo, c * k * k).astype(np.intp)
+    index = (((oy + i) * w + (ox + j)) * c + ch).reshape(ho * wo, c * k * k).astype(np.intp)
     if index.size == 0 or index.min() < 0 or index.max() >= c * h * w:
         raise LayerError(f"im2col index out of range for input {(c, h, w)}, kernel {k}")
     index.flags.writeable = False
@@ -148,35 +165,43 @@ class Conv2D(Layer):
         k = self.kernel
         ho, wo = h - k + 1, w - k + 1
         index = _im2col_index(c, h, w, k)
+        # conv1's one-channel input and a pool output are channel-last
+        # already, so this is a view; other layouts are copied once.
+        samples = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(b, h * w * c)
         # Every index is in range (checked once, when built), so "wrap"
         # never wraps; it is the fastest of np.take's modes for this gather.
-        cols = np.take(x.reshape(b, c * h * w), index, axis=1, mode="wrap")
+        cols = np.take(samples, index, axis=1, mode="wrap")
         y = cols @ self.params["W"].reshape(self.channels, -1).T
         # One bias row over the contiguous (L, channels) block of a sample,
         # rather than a broadcast with a channels-long inner loop.
         rows = y.reshape(b, ho * wo * self.channels)
         rows += np.tile(self.params["b"], ho * wo)
-        y = y.transpose(0, 2, 1).reshape(b, self.channels, ho, wo)
-        return y, (x.shape, cols)
+        return y.reshape(b, ho, wo, self.channels).transpose(0, 3, 1, 2), (x.shape, cols)
 
     def backward(self, grad_y, cache, need_dx=True):
         x_shape, cols = cache
         b, c, h, w = x_shape
         k = self.kernel
         ho, wo = h - k + 1, w - k + 1
-        gy = grad_y.reshape(b, self.channels, ho * wo)
         flat_cols = cols.reshape(-1, c * k * k)
-        flat_gy = gy.transpose(0, 2, 1).reshape(-1, self.channels)
+        if b == 1:
+            # The (L, channels) layout that pins a 1-image batch's bytes.
+            flat_gy = np.ascontiguousarray(grad_y).reshape(self.channels, ho * wo).T
+        else:
+            flat_gy = grad_y.transpose(0, 2, 3, 1).reshape(-1, self.channels)
         grads = {
             "W": (flat_cols.T @ flat_gy).T.reshape(self.params["W"].shape),
             "b": flat_gy.sum(axis=0),
         }
         if not need_dx:
             return None, grads
+        # A C-contiguous gy: the product over the transposed view of a
+        # channel-last gradient has the same bytes but runs a slower GEMM.
+        gy = np.ascontiguousarray(grad_y).reshape(b, self.channels, ho * wo)
+        dcols = self.params["W"].reshape(self.channels, -1).T @ gy
         # col2im with the batch innermost: each tap (i, j) of the per-sample
         # (C*k*k, L) products adds into contiguous (wo, B) rows of a
         # (C, H, W, B) buffer, read through a transposed view, not a copy.
-        dcols = self.params["W"].reshape(self.channels, -1).T @ gy
         taps = dcols.reshape(b, c, k, k, ho, wo).transpose(1, 2, 3, 4, 5, 0)
         dx = np.zeros((c, h, w, b), dtype=grad_y.dtype)
         for i in range(k):
@@ -200,22 +225,21 @@ class AvgPool2D(Layer):
         return (c, h // self.size, w // self.size)
 
     def forward(self, x):
-        # Window taps summed row-major, then divided: on the channel-last
-        # layout a Conv2D + activation produces, this is the summation order
-        # of ``mean`` over the window axes, without its transposed copy.
         s = self.size
-        taps = [x[:, :, i::s, j::s] for i in range(s) for j in range(s)]
+        pixels = x.transpose(0, 2, 3, 1)
+        taps = [pixels[:, i::s, j::s] for i in range(s) for j in range(s)]
         y = taps[0].copy()
         for tap in taps[1:]:
             y += tap
         y /= s * s
-        return y, x.shape
+        return y.transpose(0, 3, 1, 2), x.shape
 
     def backward(self, grad_y, cache):
+        b, c, h, w = cache
         s = self.size
-        scaled = grad_y / (s * s)
-        dx = np.repeat(np.repeat(scaled, s, axis=2), s, axis=3)
-        return dx.astype(grad_y.dtype), {}
+        dx = np.empty((b, h // s, s, w // s, s, c), dtype=grad_y.dtype)
+        np.divide(grad_y.transpose(0, 2, 3, 1)[:, :, None, :, None], s * s, out=dx)
+        return dx.reshape(b, h, w, c).transpose(0, 3, 1, 2), {}
 
     def spec(self):
         return {"kind": "AvgPool2D", "args": {"size": self.size}}

@@ -300,14 +300,25 @@ def load_model(path) -> Network:
     version, blob_len = struct.unpack("<HI", raw[4:10])
     if version != _VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    descriptor = json.loads(raw[10 : 10 + blob_len].decode("utf-8"))
+    try:
+        descriptor = json.loads(raw[10 : 10 + blob_len].decode("utf-8"))
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: unreadable descriptor: {exc}") from exc
+    if not isinstance(descriptor, dict):
+        raise CheckpointError(f"{path}: descriptor is not a JSON object")
     if descriptor.get("pooling") != "avg":
         raise CheckpointError(f"{path}: unsupported pooling {descriptor.get('pooling')!r}")
-    names = [f.name for f in dataclasses.fields(ModelMeta)]
-    missing = [name for name in names if name not in descriptor]
+    fields = dataclasses.fields(ModelMeta)
+    missing = [f.name for f in fields if f.name not in descriptor]
     if missing:
         raise CheckpointError(f"{path}: descriptor lacks {', '.join(missing)}")
-    meta = ModelMeta(**{name: descriptor[name] for name in names})
+    for f in fields:
+        value = descriptor[f.name]
+        # ModelMeta's annotations are the strings "int" and "str"; JSON
+        # true/false load as bool, which is an int subclass.
+        if type(value) is not {"int": int, "str": str}[f.type]:
+            raise CheckpointError(f"{path}: descriptor {f.name} must be {f.type}, got {value!r}")
+    meta = ModelMeta(**{f.name: descriptor[f.name] for f in fields})
     try:
         model = build_network(meta)
     except ModelError as exc:

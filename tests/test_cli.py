@@ -256,14 +256,22 @@ class TestGenerateTrainEval:
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d.pop("dtype"), "descriptor lacks dtype"),
         (lambda d: d.update(activation="sigmoid"), "unsupported activation 'sigmoid'"),
-    ], ids=["missing-key", "unknown-value"])
+        (lambda d: d.update(class_count="3"), "descriptor class_count must be int, got '3'"),
+        (lambda d: d.update(init_seed="x"), "descriptor init_seed must be int, got 'x'"),
+        (lambda d: d.update(frame_size=8.0), "descriptor frame_size must be int, got 8.0"),
+        (lambda d: [d], "descriptor is not a JSON object"),
+    ], ids=["missing-key", "unknown-value", "str-class-count", "str-init-seed",
+            "float-frame-size", "list-descriptor"])
     def test_bad_checkpoint_exits_1(self, edit, message, tiny_data, tmp_path, capsys):
         model = tmp_path / "model.lmdl"
         save_model(init_model("perceptron1", 24, 8, seed=0), model)
         raw = model.read_bytes()
         (blob_len,) = struct.unpack("<I", raw[6:10])
         descriptor = json.loads(raw[10 : 10 + blob_len])
-        edit(descriptor)
+        # An edit that returns a list replaces the descriptor with it.
+        replaced = edit(descriptor)
+        if isinstance(replaced, list):
+            descriptor = replaced
         blob = json.dumps(descriptor, sort_keys=True).encode("utf-8")
         body = raw[:6] + struct.pack("<I", len(blob)) + blob + raw[10 + blob_len : -32]
         model.write_bytes(body + hashlib.sha256(body).digest())

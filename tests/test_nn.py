@@ -667,11 +667,19 @@ class TestConvDataMovement:
             assert cache[0] == ref_cache[0]
             # A ReLU-masked gradient, contiguous and in the channel-last
             # layout the forward pass leaves; the mask leaves +0.0 and -0.0.
+            # Both must give the legacy's bytes for the NCHW-contiguous
+            # gradient, the layout the legacy pipeline passed in.  For B > 1
+            # the legacy itself gives those bytes for both layouts.
             grad_y = np.ascontiguousarray(gen.standard_normal(y.shape).astype(dtype) * (y > 0))
+            ref_dx, ref_grads = legacy_conv_backward(conv, grad_y, ref_cache)
+            if batch > 1:
+                legacy_dx, legacy_grads = legacy_conv_backward(conv, channel_last(grad_y), ref_cache)
+                assert_same_bytes(legacy_dx, ref_dx)
+                for name in ("W", "b"):
+                    assert_same_bytes(legacy_grads[name], ref_grads[name])
             for g in (grad_y, channel_last(grad_y)):
                 assert (np.signbit(g) & (g == 0)).any() and (~np.signbit(g) & (g == 0)).any()
                 dx, grads = conv.backward(g, cache)
-                ref_dx, ref_grads = legacy_conv_backward(conv, g, ref_cache)
                 assert_same_bytes(dx, ref_dx)
                 no_dx, grads_only = conv.backward(g, cache, need_dx=False)
                 assert no_dx is None
@@ -717,6 +725,48 @@ class TestConvDataMovement:
         assert index.shape == (100, 150) and index.dtype == np.intp
         assert not index.flags.writeable
         assert index.min() == 0 and index.max() == 6 * 14 * 14 - 1
+
+
+def is_channel_last(a):
+    """Whether a (B, C, H, W) array is laid out (B, H, W, C) in memory."""
+    return a.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
+class TestChannelLastLayout:
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_conv_stack_layout_and_pool_gradient_memory(self, activation):
+        """One LeNet-5 forward and backward: every conv, activation and pool
+        output and every pool and activation input gradient of the conv
+        stack is channel-last, and ``AvgPool2D.backward`` allocates its
+        output and the ufunc's fixed-size buffer (about 33 KB), no more.
+        A training batch of 64 keeps that buffer under a tenth of pool2's
+        output, and a 0.25x scaled copy of the incoming gradient fails."""
+        model = init_model("lenet5", 4, 32, seed=5, activation=activation)
+        gen = np.random.default_rng(9)
+        x = model.apply_input_norm(gen.random((64, 32, 32)).astype(np.float32))
+        checked = []
+        caches = []
+        for layer in model.layers:
+            x, cache = layer.forward(x)
+            caches.append(cache)
+            if x.ndim == 4 and isinstance(layer, (Conv2D, ReLU, Tanh, AvgPool2D)):
+                checked.append((f"{type(layer).__name__}.forward", x))
+        grad = gen.standard_normal(x.shape).astype(x.dtype)
+        # Down to the first activation: conv1's input gradient is never made.
+        for i in range(len(model.layers) - 1, 1, -1):
+            layer = model.layers[i]
+            if isinstance(layer, AvgPool2D):
+                result = []
+                peak = traced_peak(lambda: result.append(layer.backward(grad, caches[i])))
+                grad = result[0][0]
+                assert peak < 1.2 * grad.nbytes, (i, peak / grad.nbytes)
+            else:
+                grad, _ = layer.backward(grad, caches[i])
+            if grad.ndim == 4 and isinstance(layer, (ReLU, Tanh, AvgPool2D)):
+                checked.append((f"{type(layer).__name__}.backward", grad))
+        assert len(checked) == 10
+        for name, a in checked:
+            assert is_channel_last(a), name
 
 
 # -- training -------------------------------------------------------------------
@@ -932,6 +982,41 @@ class TestCheckpoints:
         descriptor, _ = read_checkpoint(path)
         edit(descriptor)
         rewrite_checkpoint(path, descriptor=descriptor)
+        with pytest.raises(CheckpointError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("class_count", "3"),
+            ("class_count", True),
+            ("frame_size", 8.0),
+            ("init_seed", "x"),
+            ("init_seed", None),
+            ("preset", 5),
+            ("dtype", ["float32"]),
+        ],
+    )
+    def test_mistyped_meta_in_checkpoint(self, tmp_path, key, value):
+        path = tmp_path / "model.lmdl"
+        save_model(init_model("perceptron3", 3, 8, seed=3), path)
+        descriptor, _ = read_checkpoint(path)
+        descriptor[key] = value
+        rewrite_checkpoint(path, descriptor=descriptor)
+        with pytest.raises(CheckpointError, match=f"descriptor {key} must be "):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "blob,message",
+        [(b"[]", "not a JSON object"), (b'"avg"', "not a JSON object"), (b"{", "unreadable")],
+        ids=["list", "string", "not-json"],
+    )
+    def test_descriptor_not_an_object(self, tmp_path, blob, message):
+        path = tmp_path / "model.lmdl"
+        save_model(init_model("perceptron3", 3, 8, seed=3), path)
+        _, params = read_checkpoint(path)
+        body = b"LMDL" + struct.pack("<HI", 1, len(blob)) + blob + params
+        path.write_bytes(body + hashlib.sha256(body).digest())
         with pytest.raises(CheckpointError, match=message):
             load_model(path)
 
