@@ -33,7 +33,8 @@ that order is pinned; only the data movement around it may change:
   follow the operand layout, and a C-contiguous (L, channels) operand
   gives a 1-image batch other bytes.  ``dW`` is one GEMM
   ``flat_cols.T @ flat_gy`` over all B*L rows, and ``db`` is the column sum
-  of ``flat_gy``;
+  of ``flat_gy``: pairwise when its rows axis is contiguous (B = 1, or one
+  channel), row by row otherwise;
 * the input gradient's products are the per-sample ``W_mat.T @ gy[b]``,
   (C*k*k, channels) @ (channels, L), on a C-contiguous (B, channels, L)
   ``gy``, in one batched matmul.  One 2-D product over all L*B columns is
@@ -134,6 +135,18 @@ def _im2col_index(c: int, h: int, w: int, k: int) -> np.ndarray:
     return index
 
 
+def _column_sum(rows: np.ndarray) -> np.ndarray:
+    """``rows.sum(axis=0)`` with the same bytes, without its per-row cost.
+
+    numpy sums pairwise along a contiguous axis, but adds row by row when
+    the rows are the outer axis, one ufunc inner loop per row.  einsum adds
+    them row by row too, in one compiled loop.
+    """
+    if rows.strides[0] == rows.itemsize:
+        return rows.sum(axis=0)
+    return np.einsum("ij->j", rows)
+
+
 class Conv2D(Layer):
     """Valid 2-D convolution, stride 1, via im2col."""
 
@@ -191,7 +204,7 @@ class Conv2D(Layer):
             flat_gy = grad_y.transpose(0, 2, 3, 1).reshape(-1, self.channels)
         grads = {
             "W": (flat_cols.T @ flat_gy).T.reshape(self.params["W"].shape),
-            "b": flat_gy.sum(axis=0),
+            "b": _column_sum(flat_gy),
         }
         if not need_dx:
             return None, grads

@@ -24,7 +24,7 @@ from funcid.nn import (
     train,
     training,
 )
-from funcid.nn.layers import AvgPool2D, Conv2D, Dense, ReLU, Tanh, _im2col_index
+from funcid.nn.layers import AvgPool2D, Conv2D, Dense, ReLU, Tanh, _column_sum, _im2col_index
 from funcid.nn.network import cross_entropy, min_max
 from funcid.nn.training import _loss_and_accuracy, _make_stepper
 
@@ -718,6 +718,18 @@ class TestConvDataMovement:
             for (_, _, a), (_, _, b) in zip(net_a.parameters(), net_b.parameters()):
                 assert_same_bytes(a, b)
         assert_same_bytes(predict_logits(fast_best, x), predict_logits(legacy_best, x))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_column_sum_matches_sum(self, dtype):
+        # conv1's and conv2's batch-64 rows, one-channel rows, and the
+        # transposed (L, channels) rows of a 1-image batch.
+        gen = np.random.default_rng(3)
+        for shape in ((50176, 6), (6400, 16), (784, 1), (7, 1), (100, 2), (3, 17)):
+            a = gen.standard_normal(shape) * 10.0 ** gen.integers(-6, 6, shape)
+            a[gen.random(shape) < 0.2] = -0.0
+            a = a.astype(dtype)
+            for rows in (a, np.asfortranarray(a)):
+                assert_same_bytes(_column_sum(rows), rows.sum(axis=0))
 
     def test_im2col_index_is_cached_and_read_only(self):
         index = _im2col_index(6, 14, 14, 5)
