@@ -35,11 +35,11 @@ BBOB = Suite.CONTINUOUS_BBOB
 
 
 def _spec(regime=Regime.L1, image_type=1, dim=3, train=2, val=0, test=1, instances=1,
-          unseen=0, domain=DomainMap.UNIT_CUBE, noise=NoiseSpec(), suite=BBOB, seed=11):
+          unseen=0, domain=DomainMap.UNIT_CUBE, noise=NoiseSpec(), suite=BBOB, seed=11, n=4):
     return DatasetSpec(
         suite=suite,
         dim=dim,
-        encoder=EncoderConfig(dim=dim, sample_size=4, image_type=image_type, frame_size=8,
+        encoder=EncoderConfig(dim=dim, sample_size=n, image_type=image_type, frame_size=8,
                               domain_map=domain),
         regime=regime,
         per_class_train=train,
@@ -61,6 +61,12 @@ MATRIX = {
     "uniform-L3": _spec(regime=Regime.L3, instances=2, unseen=1,
                         noise=NoiseSpec(NoiseKind.UNIFORM_RANGE, -2.5, 2.5)),
     "discrete-d4": _spec(suite=Suite.DISCRETE_PB, dim=4, train=3, val=2, test=2),
+    "L2-type2": _spec(regime=Regime.L2, image_type=2, instances=2, train=3, val=1),
+    "L3-type4-bbob_box": _spec(regime=Regime.L3, image_type=4, instances=2, unseen=2, train=3,
+                               domain=DomainMap.AFFINE_TO_BBOB_BOX),
+    "discrete-type5-d4": _spec(suite=Suite.DISCRETE_PB, dim=4, image_type=5, train=3, test=2),
+    # N == M: no probe rows, several images per instance in every split.
+    "L1-type1-n8": _spec(n=8, train=4, val=2, test=3),
 }
 
 # (case, split) -> the first 16 hex digits of: manifest digest, .limg file,
@@ -102,6 +108,30 @@ PINS = {
         "e3b0c44298fc1c14 cd102bfd93022a2b b907155aa5c6d9c6 33dd5ff63c66540f 55ae42cc1e37a5eb",
     ("uniform-L3", "test"):
         "55df6ce904e2c50c bc2ff6c436c7382a 6180fa791f88deca df56811c2b8e3eac 0a77ef9f307d8da9",
+    ("L2-type2", "train"):
+        "55a7de8810b926ab 815cba63181e7fa5 2b6f12d68ee3456a b4a12f73087f06fa ecc268073ba31e33",
+    ("L2-type2", "val"):
+        "a4c1110e914ee6a3 f0016cc644cd2408 c487afefe184c111 4f25b244312e74cf 0d776712e91f9805",
+    ("L2-type2", "test"):
+        "d23b4be3c5a1ac5d 87c3c4db2c0ec382 f0293c7d5511c27a c6aba0cd9ce31d8a 0a77ef9f307d8da9",
+    ("L3-type4-bbob_box", "train"):
+        "5e703c2aa5442ee8 1108c1aa8b356adc e1f42294fe762660 3b3a747fe7405c7a ecc268073ba31e33",
+    ("L3-type4-bbob_box", "val"):
+        "e3b0c44298fc1c14 cd102bfd93022a2b 4640259e4dd45272 33dd5ff63c66540f 55ae42cc1e37a5eb",
+    ("L3-type4-bbob_box", "test"):
+        "0ee3804446dc4684 d4e2e383cb46eee4 089dc82e0f802d87 cc6a876dc6d61812 0a77ef9f307d8da9",
+    ("discrete-type5-d4", "train"):
+        "46dedd42282b1a97 2f5e881511f9ea9d 5c949799d7431ef9 15fe0738936d6e28 72d0ab39a942d836",
+    ("discrete-type5-d4", "val"):
+        "e3b0c44298fc1c14 84af0c16e71c9126 a7e8f481d4906187 33dd5ff63c66540f 55ae42cc1e37a5eb",
+    ("discrete-type5-d4", "test"):
+        "1f01ce76e73fbfd7 6fb23eab88da6bff ac01185dfd5077dc 68bd7a79d774b8f2 261976f9d6a1c42f",
+    ("L1-type1-n8", "train"):
+        "4cfa0cf7c88fbade d3f92814c39a6ddc 485bb1e61b8c9236 91552dca2ceae142 5607fa9a0d8a67a5",
+    ("L1-type1-n8", "val"):
+        "f975813e0243ca32 aafef8d7a51a061b 8ff8273794d9c0df 2c1f53051ae03921 eaa820e3dbc29c11",
+    ("L1-type1-n8", "test"):
+        "5190dde7d96b46bd 5c3d438b193cf1b9 e887bbcadacd8e55 7a20274f5e7ff2b4 286a77ee8bcebaa5",
 }
 
 
