@@ -2,9 +2,10 @@
 
 Generation realizes the high-level pipeline: per class and replicate an
 instance is selected according to the learning regime, one image is
-constructed with a fresh sample seed, and each split is shuffled in
-lockstep with its labels.  A split is held column-wise: one (n, M, M)
-float32 pixel array and one (n,) label array.  Three regimes are supported:
+constructed with a fresh sample seed (one batch per instance and split),
+and each split is shuffled in lockstep with its labels.  A split is held
+column-wise: one (n, M, M) float32 pixel array and one (n,) label array.
+Three regimes are supported:
 
   L1  one fixed instance per function,
   L2  a fixed pool of instances per function, cycled over replicates,
@@ -290,10 +291,14 @@ def build_dataset(spec: DatasetSpec) -> dict[str, Dataset]:
     out: dict[str, Dataset] = {}
     for split, plan in plans.items():
         tag = _SPLIT_TAGS[split]
+        # One construct_image call per instance builds all of its images.
+        positions: dict[tuple[int, int], list[int]] = {}
+        for i, (prob, inst_seed, _) in enumerate(plan):
+            positions.setdefault((prob.index, inst_seed), []).append(i)
         pixels = np.empty((len(plan), m, m), dtype=np.float32)
-        for i, (prob, inst_seed, sample_seed) in enumerate(plan):
-            image = construct_image(instances[prob.index, inst_seed], spec.encoder, sample_seed)
-            pixels[i] = image.pixels
+        for key, where in positions.items():
+            seeds = [plan[i][2] for i in where]
+            pixels[where] = construct_image(instances[key], spec.encoder, seeds).pixels
         labels = np.array([prob.index - 1 for prob, _, _ in plan], dtype=np.int64)
         image_seeds = np.array([inst_seed for _, inst_seed, _ in plan], dtype=np.int64)
 

@@ -14,12 +14,14 @@ The five layouts frame it into an M x M picture:
           row-wise.
 
 Pixels hold raw objective values as float32; normalization is left to
-training time.
+training time.  ``construct_image`` builds one image per sample seed, and
+all the images of one instance in one batched pass.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +79,7 @@ class EncoderConfig:
 
 @dataclass(frozen=True)
 class LandscapeImage:
-    """An M x M embedding of sampled points and the objective queries it cost."""
+    """(M, M) or (n, M, M) embeddings of sampled points and the objective queries they cost."""
 
     pixels: np.ndarray
     query_cost: EvalCounter
@@ -125,74 +127,108 @@ def type5_sample_count(cfg: EncoderConfig) -> int:
     return -(-remaining // cfg.d_prime)
 
 
-def display_vectors(samples: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
-    """The vector of every displayed row (Types 1-4) or stream segment (Type-5).
+def _display_index(n_images: int, n_samples: int, cfg: EncoderConfig) -> np.ndarray:
+    """The (n_images, rows) index of every displayed row into the query rows.
 
-    Types 1-4 show the samples, then the probe rows; Type-5 streams its
-    probes first.
+    The query holds each image's samples in turn, then the probes of the
+    probe list in order.  Types 1-4 show an image's samples, then its probe
+    rows; Type-5 streams its probes first.
     """
-    probes = probe_vectors(cfg.dim)[_probe_row_sequence(cfg)]
-    if cfg.image_type is ImageType.TYPE5:
-        return np.concatenate([probes, samples])
-    return np.concatenate([samples, probes])
+    samples = np.arange(n_images * n_samples).reshape(n_images, n_samples)
+    probes = n_images * n_samples + np.array(_probe_row_sequence(cfg), dtype=np.intp)
+    probes = np.broadcast_to(probes, (n_images, len(probes)))
+    parts = (probes, samples) if cfg.image_type is ImageType.TYPE5 else (samples, probes)
+    return np.concatenate(parts, axis=1)
 
 
 def layout(vectors: np.ndarray, values: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
-    """Lay out the rows tau = [vector, value] in display order as an M x M image."""
+    """Lay out the rows tau = [vector, value] in display order as M x M images.
+
+    ``vectors`` (..., rows, d) and ``values`` (..., rows) give (..., M, M)
+    pixels, one image per leading index.
+    """
     m, d = cfg.frame_size, cfg.dim
     if cfg.image_type in (ImageType.TYPE1, ImageType.TYPE3):
-        pixels = np.empty((m, m))
-        pixels[:, :d] = vectors
-        pixels[:, d:] = values[:, None]
+        pixels = np.empty(values.shape[:-1] + (m, m))
+        pixels[..., :d] = vectors
+        pixels[..., d:] = values[..., None]
         return pixels
-    tau = np.column_stack([vectors, values])
+    tau = np.concatenate([vectors, values[..., None]], axis=-1)
     if cfg.image_type is ImageType.TYPE5:
-        stream = tau.ravel()[: m * m]
-        if stream.size != m * m:
+        rows, width = tau.shape[-2:]
+        stream = tau.reshape(tau.shape[:-2] + (rows * width,))[..., : m * m]
+        if stream.shape[-1] != m * m:
             raise EncoderError("Type-5 stream under-filled; not enough sample vectors")
-        return stream.reshape(m, m)
-    return np.tile(tau, (1, -(-m // (d + 1))))[:, :m]
+        return stream.reshape(stream.shape[:-1] + (m, m))
+    return np.tile(tau, -(-m // (d + 1)))[..., :m]
+
+
+def _draw_samples(
+    instance: FunctionInstance, cfg: EncoderConfig, seeds: list[int], n_samples: int
+) -> np.ndarray:
+    """The (len(seeds), n_samples, d) sample points, each image from its own seed."""
+    samples = np.zeros((len(seeds), n_samples, cfg.dim))
+    if n_samples == 0:
+        return samples
+    for image, seed in zip(samples, seeds):
+        if instance.problem.suite is Suite.DISCRETE_PB:
+            # Bitstring suites sample uniform bitstrings; the unit-cube draw is
+            # thresholded so the stream protocol stays shared across suites.
+            image[...] = sample_points(cfg.dim, n_samples, seed) >= 0.5
+        else:
+            image[...] = sample_points(cfg.dim, n_samples, seed, cfg.domain_map)
+    return samples
 
 
 def construct_image(
-    instance: FunctionInstance, cfg: EncoderConfig, sample_seed: int
+    instance: FunctionInstance, cfg: EncoderConfig, sample_seed: int | Sequence[int]
 ) -> LandscapeImage:
-    """Sample, evaluate, and lay out one landscape image.
+    """Sample, evaluate, and lay out one landscape image per sample seed.
 
-    Types 1-4 use cfg.sample_size random points; Type-5 ignores it and
-    draws exactly as many as fill the M*M stream.  The samples and every
-    displayed probe row are evaluated in one batch; the returned query_cost
-    counts its distinct and total points.
+    An int ``sample_seed`` gives one (M, M) image; a sequence of seeds gives
+    their (n, M, M) images in seed order, each with the bytes its seed gives
+    alone, since every image draws its samples from its own seed and the
+    objective's rows are independent.  Types 1-4 use cfg.sample_size random
+    points; Type-5 ignores it and draws exactly as many as fill the M*M
+    stream.  One ``evaluate`` call covers every sample and each probe the
+    frame shows (a probe once, however many rows show it); it runs the
+    objective over blocks of at most ``suite.core._BLOCK`` rows, so a large
+    batch does not grow the objective's temporaries.  query_cost is the sum
+    over the images of what each image's displayed rows count on a fresh
+    counter: its distinct and total points.
     """
     if cfg.dim != instance.dim:
         raise EncoderError(f"config dim {cfg.dim} != instance dim {instance.dim}")
 
+    single = np.ndim(sample_seed) == 0
+    seeds = [sample_seed] if single else list(sample_seed)
     n_samples = (
         type5_sample_count(cfg)
         if cfg.image_type is ImageType.TYPE5
         else cfg.sample_size
     )
-    if n_samples == 0:
-        samples = np.zeros((0, cfg.dim))
-    elif instance.problem.suite is Suite.DISCRETE_PB:
-        # Bitstring suites sample uniform bitstrings; the unit-cube draw is
-        # thresholded so the stream protocol stays shared across suites.
-        samples = (sample_points(cfg.dim, n_samples, sample_seed) >= 0.5).astype(np.float64)
-    else:
-        samples = sample_points(cfg.dim, n_samples, sample_seed, cfg.domain_map)
-
-    counter = EvalCounter()
-    vectors = display_vectors(samples, cfg)
-    values = evaluate(instance, vectors, counter)
+    samples = _draw_samples(instance, cfg, seeds, n_samples)
+    # The probes shown are always a prefix of the probe list.
+    n_probes = len(set(_probe_row_sequence(cfg)))
+    query = np.concatenate([samples.reshape(-1, cfg.dim), probe_vectors(cfg.dim)[:n_probes]])
+    values = evaluate(instance, query, None)  # counted per image below
+    index = _display_index(len(seeds), n_samples, cfg)
+    vectors = query[index]
+    cost = EvalCounter()
+    for rows in vectors:
+        counter = EvalCounter()
+        counter.record(instance.cache_key, rows)
+        cost.distinct_queries += counter.distinct_queries
+        cost.total_queries += counter.total_queries
     # Checked after the cast: a value beyond the float32 range is finite in
     # float64 but becomes inf in the pixels.
-    pixels = layout(vectors, values, cfg).astype(np.float32)
+    pixels = layout(vectors, values[index], cfg).astype(np.float32)
     if not np.all(np.isfinite(pixels)):
         raise EncoderError("landscape image contains non-finite pixels")
 
     return LandscapeImage(
-        pixels=pixels,
-        query_cost=EvalCounter(counter.distinct_queries, counter.total_queries),
+        pixels=pixels[0] if single else pixels,
+        query_cost=cost,
     )
 
 

@@ -511,7 +511,9 @@ def _f20_schwefel(p, x):
 
 def _gallagher(p, x):
     diff = _matvec(p["R"], x)[:, None, :] - p["centers"]
-    expo = -np.sum(p["peak_scales"] * diff * diff, axis=2) / (2.0 * p["d"])
+    t = p["peak_scales"] * diff
+    np.multiply(t, diff, out=t)
+    expo = -np.sum(t, axis=2) / (2.0 * p["d"])
     best = np.max(p["weights"] * np.exp(expo), axis=1)
     return _pow(oscillate(10.0 - best), 2) + boundary_penalty(x)
 

@@ -193,13 +193,20 @@ def _check_rotations(prob: ProblemId, d: int, rotations) -> None:
             raise SuiteError(f"each rotation must be a C-contiguous float64 ({d}, {d}) array")
 
 
+# Rows per evaluator call.  An evaluator's temporaries grow with its rows
+# (f21 holds two (rows, 101, d) float64 arrays), so a batch runs in blocks;
+# rows are independent, so the values do not depend on the block size.
+_BLOCK = 256
+
+
 def evaluate(
     instance: FunctionInstance, x: np.ndarray, counter: EvalCounter | None = None
 ) -> float | np.ndarray:
     """Evaluate the instance at a point, or at every row of a batch.
 
     ``x`` of shape (d,) gives a float; ``x`` of shape (n, d) gives the (n,)
-    float64 array of row values, each the bytes a (d,) call would give.  On
+    float64 array of row values, each the bytes a (d,) call would give.  The
+    evaluator runs over blocks of at most ``_BLOCK`` rows.  On
     ``counter``, total_queries ticks once per row and distinct_queries once
     per row bit pattern not yet evaluated on this instance via the counter.
     """
@@ -212,7 +219,9 @@ def evaluate(
     if instance.problem.suite is Suite.DISCRETE_PB and not np.all((rows == 0.0) | (rows == 1.0)):
         raise SuiteError("discrete suite inputs must be 0/1 vectors")
 
-    values = instance.evaluate_raw(rows)
+    values = np.empty(len(rows))
+    for start in range(0, len(rows), _BLOCK):
+        values[start : start + _BLOCK] = instance.evaluate_raw(rows[start : start + _BLOCK])
     if counter is not None:
         counter.record(instance.cache_key, rows)
     return float(values[0]) if x.ndim == 1 else values

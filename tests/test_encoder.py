@@ -15,9 +15,9 @@ from funcid.encoder import (
     EncoderConfig,
     EncoderError,
     ImageType,
+    _display_index,
     _probe_row_sequence,
     construct_image,
-    display_vectors,
     layout,
     probe_vectors,
     sample_points,
@@ -26,7 +26,7 @@ from funcid.encoder import (
 )
 from funcid.nn import ModelError, init_model
 from funcid.nn.network import min_max
-from funcid.suite import Suite, evaluate, make_instance, problem
+from funcid.suite import Suite, core, evaluate, make_instance, problem
 
 BBOB = Suite.CONTINUOUS_BBOB
 
@@ -37,12 +37,9 @@ def sphere(d=2, seed=7):
 
 def encode(samples, values, probe_values, cfg):
     """``layout`` of the displayed rows, from sample values and per-probe values."""
-    shown = probe_values[_probe_row_sequence(cfg)]
-    if cfg.image_type is ImageType.TYPE5:
-        row_values = np.concatenate([shown, values])
-    else:
-        row_values = np.concatenate([values, shown])
-    return layout(display_vectors(samples, cfg), row_values, cfg)
+    index = _display_index(1, len(samples), cfg)[0]
+    vectors = np.concatenate([samples, probe_vectors(cfg.dim)])[index]
+    return layout(vectors, np.concatenate([values, probe_values])[index], cfg)
 
 
 # -- layout reference: the per-row loop and the Type-5 stream loop ------------
@@ -538,6 +535,100 @@ class TestImageProperties:
         img = construct_image(inst, cfg, sample_seed=4)
         x_block = img.pixels[:6, :9]
         assert set(np.unique(x_block)) <= {0.0, 1.0}
+
+
+# -- batch oracle: a seed list against each seed's point-by-point image -----------
+
+
+def reference_image(inst, cfg, seed):
+    """One seed's image from per-point ``evaluate`` calls and the per-row layout,
+    and its (distinct, total) displayed rows."""
+    d = cfg.dim
+    n = type5_sample_count(cfg) if cfg.image_type is ImageType.TYPE5 else cfg.sample_size
+    if n == 0:
+        samples = np.zeros((0, d))
+    elif inst.problem.suite is Suite.DISCRETE_PB:
+        samples = (sample_points(d, n, seed) >= 0.5).astype(np.float64)
+    else:
+        samples = sample_points(d, n, seed, cfg.domain_map)
+    values = np.array([evaluate(inst, x) for x in samples])
+    probe_values = np.array([evaluate(inst, x) for x in probe_vectors(d)])
+    pixels = encode_reference(samples, values, probe_values, cfg).astype(np.float32)
+    rows = np.concatenate([samples, probe_vectors(d)[_probe_row_sequence(cfg)]])
+    return pixels, len({row.tobytes() for row in rows}), len(rows)
+
+
+def assert_batch_matches_seeds(inst, cfg, seeds):
+    img = construct_image(inst, cfg, seeds)
+    refs = [reference_image(inst, cfg, seed) for seed in seeds]
+    m = cfg.frame_size
+    want = np.stack([r[0] for r in refs]) if refs else np.empty((0, m, m), np.float32)
+    assert img.pixels.dtype == np.float32 and img.pixels.shape == (len(seeds), m, m)
+    assert img.pixels.tobytes() == want.tobytes()
+    cost = img.query_cost
+    assert cost.distinct_queries == sum(r[1] for r in refs)
+    assert cost.total_queries == sum(r[2] for r in refs)
+
+
+# (suite, function, domain map): Sharp Ridge, Gallagher 101 on the BBOB box,
+# LABS on bitstrings.
+BATCH_CASES = [
+    (BBOB, 13, DomainMap.UNIT_CUBE),
+    (BBOB, 21, DomainMap.AFFINE_TO_BBOB_BOX),
+    (Suite.DISCRETE_PB, 4, DomainMap.UNIT_CUBE),
+]
+
+
+class TestBatchOracle:
+    @pytest.mark.parametrize("seeds", [[], [5], [5, 9]], ids=["0", "1", "2"])
+    @pytest.mark.parametrize("suite,k,domain", BATCH_CASES)
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+    def test_seed_list_matches_each_seed(self, t, suite, k, domain, seeds):
+        cfg = EncoderConfig(dim=4, sample_size=3, image_type=t, frame_size=8, domain_map=domain)
+        assert_batch_matches_seeds(make_instance(problem(suite, k), 4, 7), cfg, seeds)
+
+    @pytest.mark.parametrize("suite,k,domain", BATCH_CASES)
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+    def test_batch_across_row_blocks(self, t, suite, k, domain):
+        cfg = EncoderConfig(dim=22, sample_size=24, image_type=t, domain_map=domain)
+        seeds = list(range(100, 112))
+        assert len(seeds) * cfg.sample_size > core._BLOCK
+        assert_batch_matches_seeds(make_instance(problem(suite, k), 22, 7), cfg, seeds)
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_n_equals_m(self, t):
+        cfg = EncoderConfig(dim=3, sample_size=8, image_type=t, frame_size=8)
+        assert_batch_matches_seeds(make_instance(problem(BBOB, 8), 3, 7), cfg, [1, 2, 3])
+
+    @pytest.mark.parametrize("d,m", [(3, 2), (4, 3)])
+    def test_type5_frame_without_random_samples(self, d, m):
+        cfg = EncoderConfig(dim=d, sample_size=1, image_type=5, frame_size=m)
+        assert type5_sample_count(cfg) == 0
+        assert_batch_matches_seeds(make_instance(problem(BBOB, 8), d, 7), cfg, [1, 2])
+
+    def test_int_seed_is_one_image(self):
+        cfg = EncoderConfig(dim=2, sample_size=2, image_type=3, frame_size=4)
+        one = construct_image(sphere(2), cfg, 5)
+        batch = construct_image(sphere(2), cfg, [5])
+        assert one.pixels.shape == (4, 4) and batch.pixels.shape == (1, 4, 4)
+        assert one.pixels.tobytes() == batch.pixels.tobytes()
+        assert one.query_cost == batch.query_cost
+
+    def test_value_beyond_float32_range_in_one_image_rejected(self, monkeypatch):
+        import funcid.encoder
+
+        cfg = EncoderConfig(dim=2, sample_size=2, image_type=1, frame_size=4)
+        overflowing = sample_points(2, 2, 6)[1]
+
+        def evaluate_overflowing(instance, x, counter):
+            values = evaluate(instance, x, counter)
+            values[np.all(x == overflowing, axis=1)] = 1e39
+            return values
+
+        monkeypatch.setattr(funcid.encoder, "evaluate", evaluate_overflowing)
+        assert construct_image(sphere(2), cfg, [5, 7]).pixels.shape == (2, 4, 4)
+        with pytest.raises(EncoderError, match="non-finite"):
+            construct_image(sphere(2), cfg, [5, 6, 7])
 
 
 # -- golden digests (byte-exact regression) --------------------------------------

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from funcid import rng
+from funcid.suite import core
 from funcid.suite import (
     EvalCounter,
     Suite,
@@ -391,6 +392,22 @@ class TestScalarOracle:
             assert isinstance(point, float)
             assert alone.tobytes() == batch[i : i + 1].tobytes()
             assert np.float64(point).tobytes() == batch[i].tobytes()
+
+    @pytest.mark.parametrize("suite", [BBOB, PB])
+    def test_multi_block_batch_matches_per_row_calls(self, suite):
+        # Two block boundaries and a short last block.
+        n, d = 2 * core._BLOCK + 3, 9
+        gen = rng.substream(3, rng.SAMPLES, n)
+        for prob in list_functions(suite):
+            inst = make_instance(prob, d, 7 if suite is BBOB else 0)
+            x = gen.uniform(-5.0, 5.0, (n, d)) if suite is BBOB else gen.integers(0, 2, (n, d))
+            x = x.astype(np.float64)
+            counter = EvalCounter()
+            got = evaluate(inst, x, counter)
+            rows = np.array([evaluate(inst, row) for row in x])
+            assert got.dtype == np.float64 and got.tobytes() == rows.tobytes(), prob
+            assert counter.total_queries == n
+            assert counter.distinct_queries == len({row.tobytes() for row in x})
 
 
 # -- shape contract ---------------------------------------------------------------
