@@ -21,6 +21,7 @@ all the images of one instance in one batched pass.
 from __future__ import annotations
 
 import enum
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -99,9 +100,7 @@ def sample_points(
 
 def probe_vectors(d: int) -> np.ndarray:
     """The canonical probe list: zero vector, then e_1 .. e_d (rows)."""
-    probes = np.zeros((d + 1, d))
-    probes[1:] = np.eye(d)
-    return probes
+    return np.eye(d + 1, d, -1)
 
 
 def _probe_row_sequence(cfg: EncoderConfig) -> list[int]:
@@ -127,8 +126,9 @@ def type5_sample_count(cfg: EncoderConfig) -> int:
     return -(-remaining // cfg.d_prime)
 
 
+@functools.lru_cache(maxsize=16)
 def _display_index(n_images: int, n_samples: int, cfg: EncoderConfig) -> np.ndarray:
-    """The (n_images, rows) index of every displayed row into the query rows.
+    """The read-only (n_images, rows) index of every displayed row into the query rows.
 
     The query holds each image's samples in turn, then the probes of the
     probe list in order.  Types 1-4 show an image's samples, then its probe
@@ -138,7 +138,9 @@ def _display_index(n_images: int, n_samples: int, cfg: EncoderConfig) -> np.ndar
     probes = n_images * n_samples + np.array(_probe_row_sequence(cfg), dtype=np.intp)
     probes = np.broadcast_to(probes, (n_images, len(probes)))
     parts = (probes, samples) if cfg.image_type is ImageType.TYPE5 else (samples, probes)
-    return np.concatenate(parts, axis=1)
+    index = np.concatenate(parts, axis=1)
+    index.flags.writeable = False
+    return index
 
 
 def layout(vectors: np.ndarray, values: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
@@ -200,7 +202,7 @@ def construct_image(
     if cfg.dim != instance.dim:
         raise EncoderError(f"config dim {cfg.dim} != instance dim {instance.dim}")
 
-    single = np.ndim(sample_seed) == 0
+    single = isinstance(sample_seed, (int, np.integer))
     seeds = [sample_seed] if single else list(sample_seed)
     n_samples = (
         type5_sample_count(cfg)

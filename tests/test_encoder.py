@@ -611,6 +611,7 @@ class TestBatchOracle:
         one = construct_image(sphere(2), cfg, 5)
         batch = construct_image(sphere(2), cfg, [5])
         assert one.pixels.shape == (4, 4) and batch.pixels.shape == (1, 4, 4)
+        assert construct_image(sphere(2), cfg, np.int64(5)).pixels.tobytes() == one.pixels.tobytes()
         assert one.pixels.tobytes() == batch.pixels.tobytes()
         assert one.query_cost == batch.query_cost
 
