@@ -6,7 +6,8 @@ sidecar, and the pixels and labels that ``load()`` hands back through
 ``arrays()``.  It also pins the noise functions called directly, the PGM
 export of a constructed and of a constant image, and the network's input
 normalization in float32 and float64.  Any change to the storage layout, the
-noise draws or the min-max expression moves one of these hashes.
+noise draws or the min-max expression moves one of these hashes.  For the same
+matrix it pins each split's objective-query cost, summed over the images.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import funcid.datasets
 from funcid.datasets import (
     DatasetSpec,
     NoiseKind,
@@ -174,6 +176,68 @@ def test_empty_val_split_is_pinned():
     # The L1 Type-1 case has no validation images; its val split is still
     # saved, loaded and pinned above.
     assert len(build_dataset(MATRIX["L1-type1-d3"])["val"]) == 0
+
+
+# (case, split) -> (distinct, total) objective queries of the split's images:
+# each image's distinct and all displayed rows, summed.  The discrete cases
+# repeat sample rows and show samples equal to a probe.
+QUERY_PINS = {
+    ("L1-type1-d3", "train"): (240, 384),
+    ("L1-type1-d3", "val"): (0, 0),
+    ("L1-type1-d3", "test"): (120, 192),
+    ("L1-type1-n8", "train"): (768, 768),
+    ("L1-type1-n8", "val"): (384, 384),
+    ("L1-type1-n8", "test"): (576, 576),
+    ("L2-type2", "train"): (360, 576),
+    ("L2-type2", "val"): (120, 192),
+    ("L2-type2", "test"): (120, 192),
+    ("L2-type3", "train"): (576, 576),
+    ("L2-type3", "val"): (192, 192),
+    ("L2-type3", "test"): (192, 192),
+    ("L3-type4-bbob_box", "train"): (576, 576),
+    ("L3-type4-bbob_box", "val"): (0, 0),
+    ("L3-type4-bbob_box", "test"): (192, 192),
+    ("L3-type5-bbob_box", "train"): (768, 768),
+    ("L3-type5-bbob_box", "val"): (0, 0),
+    ("L3-type5-bbob_box", "test"): (384, 384),
+    ("discrete-d4", "train"): (80, 144),
+    ("discrete-d4", "val"): (56, 96),
+    ("discrete-d4", "test"): (54, 96),
+    ("discrete-type5-d4", "train"): (165, 234),
+    ("discrete-type5-d4", "val"): (0, 0),
+    ("discrete-type5-d4", "test"): (106, 156),
+    ("gaussian-L1", "train"): (240, 384),
+    ("gaussian-L1", "val"): (120, 192),
+    ("gaussian-L1", "test"): (120, 192),
+    ("uniform-L3", "train"): (240, 384),
+    ("uniform-L3", "val"): (0, 0),
+    ("uniform-L3", "test"): (120, 192),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MATRIX))
+def test_split_query_cost(case, monkeypatch):
+    calls = []
+
+    def traced(*args):
+        image = construct_image(*args)
+        cost = image.query_cost
+        calls.append((len(image.pixels), cost.distinct_queries, cost.total_queries))
+        return image
+
+    monkeypatch.setattr(funcid.datasets, "construct_image", traced)
+    splits = build_dataset(MATRIX[case])
+    # Splits are built in turn, one construct_image call per instance each.
+    pending, got = iter(calls), {}
+    for name, ds in splits.items():
+        images = distinct = total = 0
+        while images < len(ds):
+            n, dq, tq = next(pending)
+            images, distinct, total = images + n, distinct + dq, total + tq
+        assert images == len(ds)
+        got[(case, name)] = (distinct, total)
+    assert next(pending, None) is None
+    assert got == {key: QUERY_PINS[key] for key in got}
 
 
 # name -> (manifest digest, pixels, labels), first 16 hex.
