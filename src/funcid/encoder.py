@@ -29,7 +29,7 @@ import numpy as np
 
 from . import rng
 from .nn.network import min_max
-from .suite import EvalCounter, FunctionInstance, Suite, evaluate
+from .suite import FunctionInstance, Suite, evaluate
 
 
 class ImageType(enum.IntEnum):
@@ -79,11 +79,20 @@ class EncoderConfig:
 
 
 @dataclass(frozen=True)
+class QueryCost:
+    """Objective queries behind some images: per image, its distinct displayed
+    row bit patterns and all its displayed rows, each summed over the images."""
+
+    distinct_queries: int
+    total_queries: int
+
+
+@dataclass(frozen=True)
 class LandscapeImage:
     """(M, M) or (n, M, M) embeddings of sampled points and the objective queries they cost."""
 
     pixels: np.ndarray
-    query_cost: EvalCounter
+    query_cost: QueryCost
 
 
 def sample_points(
@@ -195,9 +204,9 @@ def construct_image(
     stream.  One ``evaluate`` call covers every sample and each probe the
     frame shows (a probe once, however many rows show it); it runs the
     objective over blocks of at most ``suite.core._BLOCK`` rows, so a large
-    batch does not grow the objective's temporaries.  query_cost is the sum
-    over the images of what each image's displayed rows count on a fresh
-    counter: its distinct and total points.
+    batch does not grow the objective's temporaries.  query_cost sums, over
+    the images, each image's distinct displayed row bit patterns and its
+    displayed rows.
     """
     if cfg.dim != instance.dim:
         raise EncoderError(f"config dim {cfg.dim} != instance dim {instance.dim}")
@@ -213,15 +222,14 @@ def construct_image(
     # The probes shown are always a prefix of the probe list.
     n_probes = len(set(_probe_row_sequence(cfg)))
     query = np.concatenate([samples.reshape(-1, cfg.dim), probe_vectors(cfg.dim)[:n_probes]])
-    values = evaluate(instance, query, None)  # counted per image below
+    values = evaluate(instance, query)
     index = _display_index(len(seeds), n_samples, cfg)
     vectors = query[index]
-    cost = EvalCounter()
-    for rows in vectors:
-        counter = EvalCounter()
-        counter.record(instance.cache_key, rows)
-        cost.distinct_queries += counter.distinct_queries
-        cost.total_queries += counter.total_queries
+    # One key per query row's bytes; an image's sorted keys change once per
+    # further distinct row.
+    keys = query.view(np.dtype((np.void, query.itemsize * cfg.dim)))[:, 0]
+    shown = np.sort(keys[index], axis=1)
+    distinct = len(seeds) + int(np.count_nonzero(shown[:, 1:] != shown[:, :-1]))
     # Checked after the cast: a value beyond the float32 range is finite in
     # float64 but becomes inf in the pixels.
     pixels = layout(vectors, values[index], cfg).astype(np.float32)
@@ -230,7 +238,7 @@ def construct_image(
 
     return LandscapeImage(
         pixels=pixels[0] if single else pixels,
-        query_cost=cost,
+        query_cost=QueryCost(distinct, index.size),
     )
 
 

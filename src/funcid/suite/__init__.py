@@ -1,7 +1,6 @@
 """Benchmark function suites with seeded instance generation."""
 
 from .core import (
-    EvalCounter,
     FunctionInstance,
     ProblemId,
     Suite,
@@ -15,7 +14,6 @@ from .core import (
 from .bbob import draw_rotations, random_orthogonal
 
 __all__ = [
-    "EvalCounter",
     "FunctionInstance",
     "ProblemId",
     "Suite",

@@ -1,4 +1,4 @@
-"""Problem identities, seeded instance construction, and counted evaluation."""
+"""Problem identities, seeded instance construction, and batched evaluation."""
 
 from __future__ import annotations
 
@@ -59,29 +59,6 @@ def bbob_class(index: int) -> str:
     return bbob.FUNCTION_TABLE[index][1]
 
 
-@dataclass
-class EvalCounter:
-    """Counts objective queries: every point, and every point not seen before.
-
-    A point is seen once its bit pattern has been evaluated on the same
-    instance through this counter.  distinct_queries <= total_queries
-    always; both only grow.
-    """
-
-    distinct_queries: int = 0
-    total_queries: int = 0
-    _seen: set = field(default_factory=set, repr=False)
-
-    def record(self, instance_key: tuple, rows: np.ndarray) -> None:
-        """Count the rows of a C-contiguous (n, d) batch of evaluated points."""
-        self.total_queries += len(rows)
-        data, width = rows.tobytes(), rows.shape[1] * rows.itemsize
-        fresh = {(instance_key, data[i : i + width]) for i in range(0, len(data), width)}
-        fresh -= self._seen
-        self._seen |= fresh
-        self.distinct_queries += len(fresh)
-
-
 @dataclass(eq=False)
 class FunctionInstance:
     """A concrete seeded realization of a benchmark function.
@@ -103,10 +80,6 @@ class FunctionInstance:
     @property
     def x_opt(self) -> np.ndarray | None:
         return self.translation
-
-    @property
-    def cache_key(self) -> tuple:
-        return (self.problem.suite.value, self.problem.index, self.dim, self.instance_seed)
 
     def evaluate_raw(self, x: np.ndarray) -> np.ndarray:
         if self.problem.suite is Suite.CONTINUOUS_BBOB:
@@ -202,16 +175,12 @@ def _check_rotations(prob: ProblemId, d: int, rotations) -> None:
 _BLOCK = 128
 
 
-def evaluate(
-    instance: FunctionInstance, x: np.ndarray, counter: EvalCounter | None = None
-) -> float | np.ndarray:
+def evaluate(instance: FunctionInstance, x: np.ndarray) -> float | np.ndarray:
     """Evaluate the instance at a point, or at every row of a batch.
 
     ``x`` of shape (d,) gives a float; ``x`` of shape (n, d) gives the (n,)
     float64 array of row values, each the bytes a (d,) call would give.  The
-    evaluator runs over blocks of at most ``_BLOCK`` rows.  On
-    ``counter``, total_queries ticks once per row and distinct_queries once
-    per row bit pattern not yet evaluated on this instance via the counter.
+    evaluator runs over blocks of at most ``_BLOCK`` rows.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     rows = x[None, :] if x.ndim == 1 else x
@@ -225,6 +194,4 @@ def evaluate(
     values = np.empty(len(rows))
     for start in range(0, len(rows), _BLOCK):
         values[start : start + _BLOCK] = instance.evaluate_raw(rows[start : start + _BLOCK])
-    if counter is not None:
-        counter.record(instance.cache_key, rows)
     return float(values[0]) if x.ndim == 1 else values

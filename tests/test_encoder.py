@@ -516,7 +516,7 @@ class TestImageProperties:
         import funcid.encoder
 
         monkeypatch.setattr(
-            funcid.encoder, "evaluate", lambda instance, x, counter: np.full(len(x), 1e39)
+            funcid.encoder, "evaluate", lambda instance, x: np.full(len(x), 1e39)
         )
         cfg = EncoderConfig(dim=2, sample_size=2, image_type=1, frame_size=4)
         with pytest.raises(EncoderError, match="non-finite"):
@@ -606,6 +606,16 @@ class TestBatchOracle:
         assert type5_sample_count(cfg) == 0
         assert_batch_matches_seeds(make_instance(problem(BBOB, 8), d, 7), cfg, [1, 2])
 
+    @pytest.mark.parametrize("seeds", [[1], [2, 3], [4, 5, 6]], ids=["1", "2", "3"])
+    def test_duplicate_rows_counted_once_per_image(self, seeds):
+        # 8 samples from the 4 bitstrings of length 2 repeat within an image,
+        # and the images of a batch share rows.
+        cfg = EncoderConfig(dim=2, sample_size=8, image_type=1, frame_size=8)
+        inst = make_instance(problem(Suite.DISCRETE_PB, 1), 2, 0)
+        refs = [reference_image(inst, cfg, seed) for seed in seeds]
+        assert all(r[1] < r[2] for r in refs)
+        assert_batch_matches_seeds(inst, cfg, seeds)
+
     def test_int_seed_is_one_image(self):
         cfg = EncoderConfig(dim=2, sample_size=2, image_type=3, frame_size=4)
         one = construct_image(sphere(2), cfg, 5)
@@ -621,8 +631,8 @@ class TestBatchOracle:
         cfg = EncoderConfig(dim=2, sample_size=2, image_type=1, frame_size=4)
         overflowing = sample_points(2, 2, 6)[1]
 
-        def evaluate_overflowing(instance, x, counter):
-            values = evaluate(instance, x, counter)
+        def evaluate_overflowing(instance, x):
+            values = evaluate(instance, x)
             values[np.all(x == overflowing, axis=1)] = 1e39
             return values
 

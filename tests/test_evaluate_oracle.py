@@ -16,7 +16,6 @@ import pytest
 from funcid import rng
 from funcid.suite import core
 from funcid.suite import (
-    EvalCounter,
     Suite,
     SuiteError,
     evaluate,
@@ -402,12 +401,9 @@ class TestScalarOracle:
             inst = make_instance(prob, d, 7 if suite is BBOB else 0)
             x = gen.uniform(-5.0, 5.0, (n, d)) if suite is BBOB else gen.integers(0, 2, (n, d))
             x = x.astype(np.float64)
-            counter = EvalCounter()
-            got = evaluate(inst, x, counter)
+            got = evaluate(inst, x)
             rows = np.array([evaluate(inst, row) for row in x])
             assert got.dtype == np.float64 and got.tobytes() == rows.tobytes(), prob
-            assert counter.total_queries == n
-            assert counter.distinct_queries == len({row.tobytes() for row in x})
 
 
 # -- shape contract ---------------------------------------------------------------
@@ -445,17 +441,5 @@ class TestShapeContract:
 
     def test_empty_batch_gives_empty_values(self):
         for inst in _all_instances():
-            counter = EvalCounter()
-            got = evaluate(inst, np.zeros((0, 4)), counter)
+            got = evaluate(inst, np.zeros((0, 4)))
             assert got.dtype == np.float64 and got.shape == (0,), inst.problem
-            assert counter.total_queries == counter.distinct_queries == 0
-
-    def test_batch_counts_every_row_and_distinct_rows(self):
-        inst = make_instance(problem(BBOB, 8), 3, 5)
-        x = np.array([[0.1, 0.2, 0.3], [0.0, 0.0, 0.0], [0.1, 0.2, 0.3], [-0.0, 0.0, 0.0]])
-        counter = EvalCounter()
-        evaluate(inst, x, counter)
-        # -0.0 and 0.0 are different bit patterns.
-        assert (counter.total_queries, counter.distinct_queries) == (4, 3)
-        evaluate(inst, x[1], counter)
-        assert (counter.total_queries, counter.distinct_queries) == (5, 3)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from funcid import rng
 from funcid.suite import (
-    EvalCounter,
     Suite,
     SuiteError,
     bbob_class,
@@ -421,40 +420,6 @@ class TestEvaluate:
     def test_all_ones_ising_ring_maximal(self):
         inst = make_instance(problem(PB, 5), 8, 0)
         assert evaluate(inst, np.ones(8)) == 8.0
-
-
-# -- counters ----------------------------------------------------------------
-
-
-class TestEvalCounter:
-    def test_memoization_counts(self):
-        inst = make_instance(problem(BBOB, 1), 3, 5)
-        counter = EvalCounter()
-        x = np.array([0.1, 0.2, 0.3])
-        v1 = evaluate(inst, x, counter)
-        v2 = evaluate(inst, x, counter)
-        assert v1 == v2
-        assert counter.distinct_queries == 1
-        assert counter.total_queries == 2
-
-    def test_distinct_points_both_counted(self):
-        inst = make_instance(problem(BBOB, 1), 3, 5)
-        counter = EvalCounter()
-        evaluate(inst, np.zeros(3), counter)
-        evaluate(inst, np.ones(3), counter)
-        assert counter.distinct_queries == counter.total_queries == 2
-
-    @given(st.integers(min_value=0, max_value=2**63 - 1), st.integers(1, 24))
-    @settings(max_examples=25, deadline=None)
-    def test_counter_invariant_distinct_le_total(self, seed, k):
-        inst = make_instance(problem(BBOB, k), 2, seed % 1000)
-        counter = EvalCounter()
-        gen = rng.substream(seed, rng.SAMPLES)
-        pts = gen.random((5, 2))
-        for x in list(pts) + list(pts[:2]):
-            evaluate(inst, x, counter)
-        assert counter.distinct_queries <= counter.total_queries
-        assert counter.total_queries == 7
 
 
 # -- determinism properties ---------------------------------------------------
