@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -67,8 +68,16 @@ class NoiseSpec:
     uniform_hi: float = 0.0
 
     def __post_init__(self):
-        if self.uniform_lo > self.uniform_hi:
-            raise DatasetError(f"uniform_lo {self.uniform_lo} > uniform_hi {self.uniform_hi}")
+        check_uniform_range(self.uniform_lo, self.uniform_hi)
+
+
+def check_uniform_range(lo: float, hi: float) -> None:
+    """Raise DatasetError unless [lo, hi] is an ordered range whose bounds and
+    width are finite, as the uniform noise draw needs."""
+    if not all(map(math.isfinite, (lo, hi, hi - lo))):
+        raise DatasetError(f"uniform noise range [{lo}, {hi}] needs finite bounds and width")
+    if lo > hi:
+        raise DatasetError(f"uniform noise range [{lo}, {hi}] is inverted")
 
 
 @dataclass(frozen=True)
@@ -400,8 +409,7 @@ def add_gaussian_noise(ds: Dataset, seed: int, amplitude: float | None = None) -
 
 def add_uniform_noise(ds: Dataset, lo: float, hi: float, seed: int) -> Dataset:
     """Additive i.i.d. uniform [lo, hi] noise on every pixel."""
-    if lo > hi:
-        raise DatasetError(f"uniform noise range [{lo}, {hi}] is inverted")
+    check_uniform_range(lo, hi)
     return _add_noise(
         ds, seed, f"uniform({lo},{hi},seed={seed})",
         lambda g, pixels: g.uniform(lo, hi, pixels.shape),

@@ -39,6 +39,7 @@ from .datasets import (
     Regime,
     add_uniform_noise,
     build_dataset,
+    check_uniform_range,
 )
 from .encoder import DomainMap, EncoderConfig, ImageType
 from .metrics import (
@@ -124,9 +125,9 @@ class ExperimentPreset:
         """The resolved settings.
 
         An unknown or mistyped override, a training setting that TrainConfig
-        rejects, or a desk-scale setting beyond the desk caps raises
-        ExperimentError, so a run fails before it makes its directory or runs
-        its first sweep point.
+        rejects, a uniform noise range that the noise would reject, or a
+        desk-scale setting beyond the desk caps raises ExperimentError, so a
+        run fails before it makes its directory or runs its first sweep point.
         """
         row = PRESETS[self.name]
         base = {**_SCALE_DEFAULTS[self.scale], **row.defaults}
@@ -146,6 +147,8 @@ class ExperimentPreset:
         try:
             TrainConfig(learning_rate=s["lr"], epochs=s["epochs"], batch_size=s["batch_size"],
                         momentum=s["momentum"], optimizer=s["optimizer"])
+            if "uniform_lo" in s:
+                check_uniform_range(s["uniform_lo"], s["uniform_hi"])
         except ValueError as exc:
             raise ExperimentError(str(exc)) from None
         if self.scale == "desk":

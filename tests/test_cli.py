@@ -140,6 +140,13 @@ class TestExperiment:
         assert "momentum 0.9 needs optimizer 'sgd'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_non_finite_noise_range_exits_2_without_a_run_dir(self, tmp_path, capsys):
+        code = main(["experiment", "UnseenL3Noisy", "--out", str(tmp_path),
+                     "--set", "uniform_lo=NaN"])
+        assert code == 2
+        assert "uniform noise range [nan, 2.5] needs finite bounds" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_paper_scale_sgd_takes_momentum(self):
         preset = ExperimentPreset("UnseenL3", scale="paper", overrides={"momentum": 0.9})
         assert (preset.settings()["optimizer"], preset.settings()["momentum"]) == ("sgd", 0.9)
@@ -232,6 +239,20 @@ class TestGenerateTrainEval:
         assert main([*command, "--config", path]) == 2
         assert message in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("bounds, message", [
+        (["--uniform-lo=nan"], "[nan, 2.5]"),
+        (["--uniform-lo=-1e308", "--uniform-hi=1e308"], "[-1e+308, 1e+308]"),
+    ])
+    def test_non_finite_noise_range_exits_2_before_building(self, bounds, message, tmp_path,
+                                                            capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(funcid.cli, "build_dataset", lambda spec: built.append(spec) or {})
+        out = tmp_path / "data"
+        assert main(["generate", *TINY_GEN, "--noise", "uniform_range", *bounds,
+                     "--out", str(out)]) == 2
+        assert f"uniform noise range {message} needs finite bounds" in capsys.readouterr().err
+        assert built == [] and list(tmp_path.iterdir()) == []
 
     def test_momentum_with_adam_exits_2(self, tiny_data, tmp_path, capsys):
         model = tmp_path / "model.lmdl"

@@ -58,6 +58,17 @@ def small_spec(regime=Regime.L1, train=4, val=0, test=2, instances=1, unseen=0, 
 # -- spec validation -----------------------------------------------------------
 
 
+# Uniform noise ranges the draw cannot take: a NaN or infinite bound, or an
+# infinite width between finite bounds.
+NON_FINITE_RANGES = [
+    (float("nan"), 2.5),
+    (-2.5, float("nan")),
+    (-float("inf"), 2.5),
+    (0.0, float("inf")),
+    (-1e308, 1e308),
+]
+
+
 class TestSpecValidation:
     def test_l1_requires_single_instance(self):
         with pytest.raises(DatasetError):
@@ -70,6 +81,11 @@ class TestSpecValidation:
     def test_noise_range_check(self):
         with pytest.raises(DatasetError):
             NoiseSpec(kind=NoiseKind.UNIFORM_RANGE, uniform_lo=1.0, uniform_hi=-1.0)
+
+    @pytest.mark.parametrize("lo, hi", NON_FINITE_RANGES)
+    def test_non_finite_noise_range_rejected(self, lo, hi):
+        with pytest.raises(DatasetError, match="needs finite bounds and width"):
+            NoiseSpec(kind=NoiseKind.UNIFORM_RANGE, uniform_lo=lo, uniform_hi=hi)
 
     def test_encoder_dim_must_match(self):
         with pytest.raises(DatasetError):
@@ -294,6 +310,11 @@ class TestNoise:
     def test_uniform_inverted_range_rejected(self):
         with pytest.raises(DatasetError):
             add_uniform_noise(self._tiny(), 1.0, -1.0, seed=0)
+
+    @pytest.mark.parametrize("lo, hi", NON_FINITE_RANGES)
+    def test_uniform_non_finite_range_rejected(self, lo, hi):
+        with pytest.raises(DatasetError, match="needs finite bounds and width"):
+            add_uniform_noise(self._tiny(), lo, hi, seed=0)
 
     def test_noise_record_appended(self):
         ds = self._tiny()
