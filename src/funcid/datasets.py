@@ -17,7 +17,11 @@ with a SHA-256 content digest, plus a JSON sidecar manifest recording the
 spec, sizes, and every seed needed to regenerate the file bit-exactly.  The
 manifest lists each image's instance seed in file order; an image's sample
 seed is not stored, because it is re-derived from the master seed, split,
-class and replicate.
+class and replicate.  ``funcid.codec`` writes the sidecar from the
+``DatasetManifest`` and decodes it by the dataclasses' type hints: one that is
+not a JSON object, lacks a field, holds a mistyped value or an unknown enum
+value, or a spec ``DatasetSpec`` rejects raises ``DatasetFormatError`` naming
+the sidecar and the field.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import rng
-from .encoder import EncoderConfig, ImageType, construct_image
+from . import codec, rng
+from .encoder import EncoderConfig, construct_image
 from .suite import Suite, draw_rotations, list_functions, make_instance
 
 
@@ -54,7 +58,7 @@ class DatasetError(ValueError):
 
 
 class DatasetFormatError(RuntimeError):
-    """Unreadable dataset file: bad magic, version, or truncation."""
+    """Unreadable dataset file (bad magic, version, truncation) or malformed sidecar."""
 
 
 class DigestMismatchError(DatasetFormatError):
@@ -127,35 +131,6 @@ class DatasetManifest:
     noise_applied: list[str]
     digest: str
 
-    def to_dict(self) -> dict:
-        return {
-            "spec": spec_to_dict(self.spec),
-            "split": self.split,
-            "size": self.size,
-            "class_count": self.class_count,
-            "instance_seeds": {str(k): v for k, v in self.instance_seeds.items()},
-            "unseen_instance_seeds": {str(k): v for k, v in self.unseen_instance_seeds.items()},
-            "image_seeds": self.image_seeds,
-            "noise_applied": self.noise_applied,
-            "digest": self.digest,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DatasetManifest":
-        return cls(
-            spec=spec_from_dict(data["spec"]),
-            split=data["split"],
-            size=data["size"],
-            class_count=data["class_count"],
-            instance_seeds={int(k): list(v) for k, v in data["instance_seeds"].items()},
-            unseen_instance_seeds={
-                int(k): list(v) for k, v in data["unseen_instance_seeds"].items()
-            },
-            image_seeds=list(data["image_seeds"]),
-            noise_applied=list(data["noise_applied"]),
-            digest=data["digest"],
-        )
-
 
 @dataclass
 class Dataset:
@@ -169,61 +144,6 @@ class Dataset:
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The (n, M, M) float32 pixels and (n,) int64 labels."""
         return self.pixels, self.labels
-
-
-def spec_to_dict(spec: DatasetSpec) -> dict:
-    return {
-        "suite": spec.suite.value,
-        "dim": spec.dim,
-        "encoder": {
-            "dim": spec.encoder.dim,
-            "sample_size": spec.encoder.sample_size,
-            "image_type": int(spec.encoder.image_type),
-            "frame_size": spec.encoder.frame_size,
-            "domain_map": spec.encoder.domain_map.value,
-        },
-        "regime": spec.regime.value,
-        "per_class_train": spec.per_class_train,
-        "per_class_val": spec.per_class_val,
-        "per_class_test": spec.per_class_test,
-        "instances_per_function": spec.instances_per_function,
-        "unseen_instances_per_function": spec.unseen_instances_per_function,
-        "master_seed": spec.master_seed,
-        "noise": {
-            "kind": spec.noise.kind.value,
-            "uniform_lo": spec.noise.uniform_lo,
-            "uniform_hi": spec.noise.uniform_hi,
-        },
-    }
-
-
-def spec_from_dict(data: dict) -> DatasetSpec:
-    from .encoder import DomainMap
-
-    enc = data["encoder"]
-    return DatasetSpec(
-        suite=Suite(data["suite"]),
-        dim=data["dim"],
-        encoder=EncoderConfig(
-            dim=enc["dim"],
-            sample_size=enc["sample_size"],
-            image_type=ImageType(enc["image_type"]),
-            frame_size=enc["frame_size"],
-            domain_map=DomainMap(enc["domain_map"]),
-        ),
-        regime=Regime(data["regime"]),
-        per_class_train=data["per_class_train"],
-        per_class_val=data["per_class_val"],
-        per_class_test=data["per_class_test"],
-        instances_per_function=data["instances_per_function"],
-        unseen_instances_per_function=data["unseen_instances_per_function"],
-        master_seed=data["master_seed"],
-        noise=NoiseSpec(
-            kind=NoiseKind(data["noise"]["kind"]),
-            uniform_lo=data["noise"]["uniform_lo"],
-            uniform_hi=data["noise"]["uniform_hi"],
-        ),
-    )
 
 
 _SPLIT_TAGS = {"train": 0, "val": 1, "test": 2}
@@ -425,12 +345,14 @@ def save(ds: Dataset, path: str | Path) -> None:
     """Write the binary container and its JSON manifest sidecar."""
     path = Path(path)
     m = ds.manifest.spec.encoder.frame_size
-    header = _HEADER.pack(_MAGIC, _VERSION, m, ds.manifest.class_count, len(ds))
-    records = _records(ds.pixels, ds.labels).tobytes()
-    path.write_bytes(header + records + hashlib.sha256(records).digest())
+    records = _records(ds.pixels, ds.labels)
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(_MAGIC, _VERSION, m, ds.manifest.class_count, len(ds)))
+        fh.write(records)
+        fh.write(hashlib.sha256(records).digest())
     manifest_path = path.with_suffix(path.suffix + ".manifest.json")
     manifest_path.write_text(
-        json.dumps(ds.manifest.to_dict(), indent=2, sort_keys=True), encoding="utf-8"
+        json.dumps(codec.encode(ds.manifest), indent=2, sort_keys=True), encoding="utf-8"
     )
 
 
@@ -460,7 +382,8 @@ def load(path: str | Path) -> Dataset:
         raise DigestMismatchError(f"{path}: content digest mismatch")
 
     manifest_path = path.with_suffix(path.suffix + ".manifest.json")
-    manifest = DatasetManifest.from_dict(json.loads(manifest_path.read_text(encoding="utf-8")))
+    data = codec.parse(manifest_path.read_bytes(), DatasetFormatError, manifest_path, "manifest")
+    manifest = codec.decode(DatasetManifest, data, DatasetFormatError, manifest_path, "manifest")
     if manifest.digest != file_digest.hex():
         raise DigestMismatchError(f"{manifest_path}: manifest digest does not match {path}")
 

@@ -22,6 +22,7 @@ practical on serious hardware.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -255,30 +256,20 @@ def _bbob_spec(
     )
 
 
-def _dim_sweep(s: dict, run: _Run) -> dict:
+def _sweep(s: dict, run: _Run, swept: str, arg: str, letter: str, seed_tag: int) -> dict:
+    """One L1 training cycle per value of the setting ``s[swept]``, passed as
+    ``_bbob_spec``'s ``arg``; writes the test accuracy curve.  Each value's
+    dataset and model seeds derive from ``seed_tag`` and ``seed_tag + 1``."""
     rows = []
-    for d in s["dims"]:
-        spec = _bbob_spec(s, dim=d, master_seed=rng.derive_seed(run.master_seed, 101, d))
+    for v in s[swept]:
+        # A dimension sweep has no "dim" setting: the swept value replaces it.
+        shape = {"dim": s.get("dim"), arg: v}
+        spec = _bbob_spec(s, **shape, master_seed=rng.derive_seed(run.master_seed, seed_tag, v))
         acc = _run_cycle(
-            spec, s, run, f"d{d:02d}", rng.derive_seed(run.master_seed, 102, d),
+            spec, s, run, f"{letter}{v:02d}", rng.derive_seed(run.master_seed, seed_tag + 1, v),
             save_checkpoint=False,
         )
-        rows.append((float(d), acc))
-    emit_sweep_curve(rows, run.out_dir / "sweep_curve.csv")
-    return {"curve": rows}
-
-
-def _n_sweep(s: dict, run: _Run) -> dict:
-    rows = []
-    for n in s["n_values"]:
-        spec = _bbob_spec(
-            s, dim=s["dim"], master_seed=rng.derive_seed(run.master_seed, 111, n), sample_size=n
-        )
-        acc = _run_cycle(
-            spec, s, run, f"n{n:02d}", rng.derive_seed(run.master_seed, 112, n),
-            save_checkpoint=False,
-        )
-        rows.append((float(n), acc))
+        rows.append((float(v), acc))
     emit_sweep_curve(rows, run.out_dir / "sweep_curve.csv")
     return {"curve": rows}
 
@@ -374,12 +365,14 @@ _L3_DESK = {"per_class_train": 400, "per_class_test": 100}
 # through this module's globals, so a wrapper set on the module sees the call.
 PRESETS = {
     "BaseL1DimSweep": _Preset(
-        _dim_sweep, {"dims": list(range(2, 31, 2)), "domain": _UNIT_CUBE},
+        functools.partial(_sweep, swept="dims", arg="dim", letter="d", seed_tag=101),
+        {"dims": list(range(2, 31, 2)), "domain": _UNIT_CUBE},
         # Many small runs: shrink the per-dimension datasets and epochs.
         {"epochs": 60, "per_class_train": 30, "per_class_test": 10},
     ),
     "NSweep": _Preset(
-        _n_sweep, {"n_values": [1, 8, 16, 24, 32], "dim": 22, "domain": _UNIT_CUBE},
+        functools.partial(_sweep, swept="n_values", arg="sample_size", letter="n", seed_tag=111),
+        {"n_values": [1, 8, 16, 24, 32], "dim": 22, "domain": _UNIT_CUBE},
         {"per_class_train": 120, "per_class_test": 30},
     ),
     "TypeComparison": _Preset(

@@ -24,7 +24,7 @@ import struct
 
 import numpy as np
 
-from .. import rng
+from .. import codec, rng
 from .layers import AvgPool2D, Conv2D, Dense, Flatten, Layer, ReLU, Reshape, Tanh
 
 PRESETS = ("perceptron1", "perceptron3", "lenet5")
@@ -275,7 +275,7 @@ def save_model(model: Network, path) -> None:
     entry of earlier checkpoints, so their bytes do not change.
     """
     descriptor = {
-        **dataclasses.asdict(model.meta),
+        **codec.encode(model.meta),
         "pooling": "avg",
         "layers": [layer.spec() for layer in model.layers],
     }
@@ -300,25 +300,10 @@ def load_model(path) -> Network:
     version, blob_len = struct.unpack("<HI", raw[4:10])
     if version != _VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    try:
-        descriptor = json.loads(raw[10 : 10 + blob_len].decode("utf-8"))
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: unreadable descriptor: {exc}") from exc
-    if not isinstance(descriptor, dict):
-        raise CheckpointError(f"{path}: descriptor is not a JSON object")
+    descriptor = codec.parse(raw[10 : 10 + blob_len], CheckpointError, path, "descriptor")
     if descriptor.get("pooling") != "avg":
         raise CheckpointError(f"{path}: unsupported pooling {descriptor.get('pooling')!r}")
-    fields = dataclasses.fields(ModelMeta)
-    missing = [f.name for f in fields if f.name not in descriptor]
-    if missing:
-        raise CheckpointError(f"{path}: descriptor lacks {', '.join(missing)}")
-    for f in fields:
-        value = descriptor[f.name]
-        # ModelMeta's annotations are the strings "int" and "str"; JSON
-        # true/false load as bool, which is an int subclass.
-        if type(value) is not {"int": int, "str": str}[f.type]:
-            raise CheckpointError(f"{path}: descriptor {f.name} must be {f.type}, got {value!r}")
-    meta = ModelMeta(**{f.name: descriptor[f.name] for f in fields})
+    meta = codec.decode(ModelMeta, descriptor, CheckpointError, path, "descriptor")
     try:
         model = build_network(meta)
     except ModelError as exc:

@@ -275,6 +275,28 @@ class TestGenerateTrainEval:
         assert err.count("runtime failure: ") == 2
 
     @pytest.mark.parametrize("edit, message", [
+        (lambda text: text[: len(text) // 2], "unreadable manifest"),
+        (lambda text: text.replace('"noise"', '"noise_"'), "manifest lacks spec.noise"),
+        (lambda text: text.replace('"image_type": 1', '"image_type": 9'),
+         "spec.encoder.image_type: 9 is not a valid ImageType"),
+    ], ids=["truncated-json", "no-spec-noise", "image-type-9"])
+    def test_malformed_sidecar_exits_1(self, edit, message, tiny_data, tmp_path, capsys):
+        model = tmp_path / "model.lmdl"
+        assert main(["train", "--data", str(tiny_data / "train.limg"), "--epochs", "1",
+                     "--preset", "perceptron1", "--out", str(model)]) == 0
+        capsys.readouterr()
+        for split in ("train", "test"):
+            sidecar = tiny_data / f"{split}.limg.manifest.json"
+            sidecar.write_text(edit(sidecar.read_text(encoding="utf-8")), encoding="utf-8")
+        assert main(["train", "--data", str(tiny_data / "train.limg"), "--epochs", "1"]) == 1
+        assert main(["eval", "--model", str(model), "--data", str(tiny_data / "test.limg")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        for line, split in zip(lines, ("train", "test")):
+            assert line.startswith(f"runtime failure: {tiny_data / split}.limg.manifest.json: ")
+            assert message in line
+
+    @pytest.mark.parametrize("edit, message", [
         (lambda d: d.pop("dtype"), "descriptor lacks dtype"),
         (lambda d: d.update(activation="sigmoid"), "unsupported activation 'sigmoid'"),
         (lambda d: d.update(class_count="3"), "descriptor class_count must be int, got '3'"),

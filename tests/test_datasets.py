@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funcid import rng
+from funcid import codec, rng
 from funcid.datasets import (
     Dataset,
     DatasetError,
@@ -29,8 +29,6 @@ from funcid.datasets import (
     load,
     save,
     shuffle_sync,
-    spec_from_dict,
-    spec_to_dict,
 )
 from funcid.encoder import EncoderConfig
 from funcid.suite import Suite
@@ -120,7 +118,8 @@ class TestSpecValidation:
     def test_spec_dict_roundtrip(self):
         spec = small_spec(regime=Regime.L3, instances=2, unseen=2,
                           noise=NoiseSpec(NoiseKind.UNIFORM_RANGE, -2.5, 2.5))
-        assert spec_from_dict(spec_to_dict(spec)) == spec
+        data = codec.encode(spec)
+        assert codec.decode(DatasetSpec, data, DatasetError, "spec.json", "spec") == spec
 
 
 # -- generation -----------------------------------------------------------------
@@ -410,6 +409,49 @@ class TestSaveLoad:
         manifest = json.loads(sidecar.read_text(encoding="utf-8"))
         edit(manifest)
         sidecar.write_text(json.dumps(manifest), encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [("{", "unreadable manifest"), ("[]", "manifest is not a JSON object")],
+        ids=["not-json", "list"],
+    )
+    def test_sidecar_not_an_object(self, tmp_path, text, message):
+        path, sidecar = self._saved(tmp_path)
+        sidecar.write_text(text, encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match=f"manifest.json: {message}"):
+            load(path)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda m: m.pop("digest"), "manifest lacks digest"),
+            (lambda m: m["spec"].pop("noise"), "manifest lacks spec.noise"),
+            (lambda m: m.update(size="48"), "manifest size must be int, got '48'"),
+            (lambda m: m["spec"].update(dim=True), "manifest spec.dim must be int, got True"),
+            (lambda m: m["image_seeds"].__setitem__(1, "5"),
+             r"manifest image_seeds\[1\] must be int, got '5'"),
+            (lambda m: m["instance_seeds"].update(x=[1]),
+             "manifest instance_seeds key must be int, got 'x'"),
+            (lambda m: m["spec"]["encoder"].update(image_type=9),
+             "manifest spec.encoder.image_type: 9 is not a valid ImageType"),
+            (lambda m: m["spec"].update(per_class_train=0),
+             "manifest spec: per-class training count must be >= 1"),
+        ],
+        ids=["no-digest", "no-spec-noise", "str-size", "bool-dim", "str-image-seed",
+             "str-class-key", "image-type-9", "no-train-images"],
+    )
+    def test_malformed_sidecar(self, tmp_path, edit, message):
+        path, sidecar = self._saved(tmp_path)
+        self._edit_manifest(sidecar, edit)
+        with pytest.raises(DatasetFormatError, match=f"manifest.json: {message}"):
+            load(path)
+
+    def test_sidecar_int_bound_and_unknown_key_load(self, tmp_path):
+        path, sidecar = self._saved(tmp_path)
+        self._edit_manifest(
+            sidecar, lambda m: (m["spec"]["noise"].update(uniform_hi=1), m.update(note="x"))
+        )
+        assert load(path).manifest.spec.noise.uniform_hi == 1
 
     def test_header_class_count_must_match_manifest(self, tmp_path):
         path, _ = self._saved(tmp_path)

@@ -24,7 +24,7 @@ import pytest
 
 import funcid.experiments as experiments
 from funcid.cli import main
-from funcid.datasets import spec_to_dict
+from funcid.codec import encode
 from funcid.nn import TrainReport
 
 COMMON_TINY = ("per_class_train=1", "per_class_test=1", "epochs=1")
@@ -132,7 +132,7 @@ class _Spy:
         def build_dataset(spec):
             # The pins were taken while build_dataset still took a jobs
             # argument, always 1 here; it is recorded as it was.
-            self.calls.append(["build_dataset", spec_to_dict(spec), 1])
+            self.calls.append(["build_dataset", encode(spec), 1])
             if stub:
                 return {"train": _FakeSplit(spec, 1), "val": _FakeSplit(spec, 0),
                         "test": _FakeSplit(spec, 1)}
