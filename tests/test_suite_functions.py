@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import warnings
 
@@ -446,3 +447,93 @@ class TestDeterminism:
         va = evaluate(a, np.zeros(4)) - a.f_offset
         vb = evaluate(b, np.zeros(4)) - b.f_offset
         assert va != vb
+
+
+# -- table and instance-parameter pins ----------------------------------------
+
+PIN_DIMS = (2, 5, 22, 40)
+PIN_SEEDS = (0, 1, 12345)
+
+PINNED_NAMES = (
+    "Sphere", "Ellipsoidal A", "Rastrigin", "Rastrigin-Bueche", "Linear Slope",
+    "Attractive Sector", "Step Ellipsoidal", "Rosenbrock", "Rotated Rosenbrock",
+    "Ellipsoidal B", "Discus", "Bent Cigar", "Sharp Ridge", "Different Powers",
+    "Rastrigin Rotated", "Weierstrass", "Schaffers F7", "Schaffers F7 Ill-Conditioned",
+    "Griewank-Rosenbrock F8F2", "Schwefel", "Gallagher 101 Peaks", "Gallagher 21 Peaks",
+    "Katsuura", "Lunacek bi-Rastrigin",
+    "OneMax", "LeadingOnes", "Linear", "LABS", "IsingRing", "IsingTriangular",
+)
+PINNED_CLASSES = ("i",) * 5 + ("ii",) * 4 + ("iii",) * 5 + ("iv",) * 5 + ("v",) * 5
+PINNED_ROTATIONS = (0, 0, 0, 0, 0, 2, 2, 0, 1, 1, 1, 1, 2, 1, 2, 2, 2, 2, 1, 0, 1, 1, 2, 2)
+PINNED_PARAMS = {
+    1: "ff9d597213366e184e5cb4010cd4649286b7358c85a22c0c864f881a9dd5d9d6",
+    2: "fdbbb530e032ac9886f5fe7071fb3a3441f5ec6d2fe6ab07eecbeee5396beb6e",
+    3: "d5b3cb667a19ad306be8e7142b21b2402d63b8ce7a742d14c0c11f1985e13532",
+    4: "b9144cfa9a8679387884982d0db80e353c643f15a58c4164c0d6ff2806940a91",
+    5: "7943b6a7caa8af3253da5ce910b660b3d00111125113125d68c9214c8bff2641",
+    6: "dcaac1abb74400130b146b80a0c8dd1f2e8a9a30e4128b333ea5f687954925b8",
+    7: "9ac26e5f3379fe1433052a62fbbae47c229b3b2543de9aa0e7536eb7ca2651a3",
+    8: "9d9e231f7fff951b40c2242bd0df8a76dd54f0b3bc9661c459527af0725bc1d4",
+    9: "36dbf3943f37615634107d4bb3415c2e3b4fc680a3a4e2adcc0f3031fbebfa9c",
+    10: "95198f0f5c269bd89428cf3d2680aa8a914f12ada8a8625a9976ef1a95a08182",
+    11: "f33470bd99ce36ced9ab7ec8f95d47c5635f59646d65934a9ca499096a97a255",
+    12: "f697eecdba94ff04c176b7be1530163d85596af83b7fd4686871f366bbb48068",
+    13: "f03a26c9ede9d71efbe34a5202e48a617d258152b6bc8e3f8b825f3c26529667",
+    14: "662a3ddcee88702d879e169456d424c20fc272c50634bd71f226443893fb0e8e",
+    15: "d21f3ccf39fbcd661c5a5fcef3a1396b29eefb53c77ed969393bfdc8ce37f529",
+    16: "38885d62548c337999728879667b8182d454fd27e3234b9fd88d5f27955d4662",
+    17: "da0193b455f86207d2a072b39ba298c0d4248d38144545690c60fff8adbeca2d",
+    18: "bcfebe4220a3c701b9151a6f41ad4785dde25bed187af4fdb883a5561a56b426",
+    19: "8c5c6930cf909b6e6b99b34a5c61d8474d1501cf3ec527fd93a2a3e63ac34218",
+    20: "f1b1d4a74fb42c4d2dd7b1780f26e056b45938f8b7e024f912f79cf147c7c560",
+    21: "4c7acecfbd02c773fc30ba8b79330989cc276cdaf9ead8d9c5f92042e2080b51",
+    22: "e14ab68ad38b90b26ad0e10f53143ea16353c460897ee87f474d25d3316f8096",
+    23: "ca428d966ec047b590778da66feb0c80e00f439e7822e0762abf66d767bc840b",
+    24: "3503441c5076978407f240a63e36c5d0f04e82d09c14075f3ac6a40a7b79f2d6",
+}
+
+
+def _params_digest(k: int) -> str:
+    """SHA-256 over the params of function k's instances at every pinned (d, seed).
+
+    Keys are hashed in sorted order; an array contributes its dtype, shape and
+    bytes, anything else its ``repr``.
+    """
+    h = hashlib.sha256()
+    for d in PIN_DIMS:
+        for seed in PIN_SEEDS:
+            params = make_instance(problem(BBOB, k), d, seed).params
+            for key in sorted(params):
+                value = params[key]
+                h.update(key.encode())
+                if isinstance(value, np.ndarray):
+                    h.update(f"{value.dtype.str}{value.shape}".encode())
+                    h.update(np.ascontiguousarray(value).tobytes())
+                else:
+                    h.update(repr(value).encode())
+    return h.hexdigest()
+
+
+class TestTablePins:
+    """The suite tables and every BBOB instance's ``params``, byte for byte.
+
+    The evaluation oracles read ``inst.params`` on both sides, so only a pin
+    of the parameters themselves catches a change in how they are built.
+    """
+
+    def test_names_in_suite_order(self):
+        names = [p.display_name for s in (BBOB, PB) for p in list_functions(s)]
+        assert tuple(names) == PINNED_NAMES
+
+    def test_structural_classes(self):
+        assert tuple(bbob_class(k) for k in range(1, 25)) == PINNED_CLASSES
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_rotation_counts(self, seed):
+        counts = tuple(len(make_instance(problem(BBOB, k), 5, seed).rotations)
+                       for k in range(1, 25))
+        assert counts == PINNED_ROTATIONS
+
+    @pytest.mark.parametrize("k", range(1, 25))
+    def test_params_digest(self, k):
+        assert _params_digest(k) == PINNED_PARAMS[k]
