@@ -226,10 +226,12 @@ def construct_image(
     index = _display_index(len(seeds), n_samples, cfg)
     vectors = query[index]
     # One key per query row's bytes; an image's sorted keys change once per
-    # further distinct row.
+    # further distinct row, where any of the row's uint64 words changes.
     keys = query.view(np.dtype((np.void, query.itemsize * cfg.dim)))[:, 0]
-    shown = np.sort(keys[index], axis=1)
-    distinct = len(seeds) + int(np.count_nonzero(shown[:, 1:] != shown[:, :-1]))
+    shown = keys[index]
+    shown.sort(axis=1)
+    words = shown.view(np.uint64).reshape(*index.shape, cfg.dim)
+    distinct = len(seeds) + int(np.count_nonzero((words[:, 1:] != words[:, :-1]).any(axis=2)))
     # Checked after the cast: a value beyond the float32 range is finite in
     # float64 but becomes inf in the pixels.
     pixels = layout(vectors, values[index], cfg).astype(np.float32)

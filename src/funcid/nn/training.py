@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +43,6 @@ class TrainReport:
     val_loss: list[float] = field(default_factory=list)
     val_acc: list[float] = field(default_factory=list)
     best_epoch: int = 0  # 1-based
-    wall_time_s: float = 0.0
 
     @property
     def has_validation(self) -> bool:
@@ -102,7 +100,6 @@ def train(model: Network, train_data, val_data, cfg: TrainConfig) -> tuple[Netwo
     report = TrainReport()
     best = model.copy()
     best_loss = np.inf
-    started = time.perf_counter()
 
     for epoch in range(1, cfg.epochs + 1):
         order = rng.substream(cfg.seed, rng.BATCH_ORDER, epoch).permutation(len(x_all))
@@ -136,7 +133,6 @@ def train(model: Network, train_data, val_data, cfg: TrainConfig) -> tuple[Netwo
             best = model.copy()
             report.best_epoch = epoch
 
-    report.wall_time_s = time.perf_counter() - started
     return best, report
 
 

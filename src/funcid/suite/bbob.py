@@ -6,6 +6,12 @@ R/Q rotations, and per-function optimum placement.  All arithmetic is
 float64; instances precompute every constant they need so evaluation is a
 handful of vector ops.
 
+Each function is one ``FUNCTIONS`` row: its display name, structural class,
+rotation count, evaluator and ``powers``.  ``powers`` maps a parameter name
+to ``(base, rate)``, and ``build_params`` sets that parameter to the array
+``np.power(base, rate * lin)``, with ``lin[i] = i / (d - 1)``: the diagonal
+of a conditioning matrix such as Lambda^10 or the f2/f10 ellipsoid weights.
+
 Every evaluator works on an (n, d) batch of points, and each row gets the
 float64 bytes that the same point gets alone.  The operation order that
 guarantees this is pinned, because the dataset digests depend on it:
@@ -35,47 +41,11 @@ contiguous-row layout); the product ``r * v`` is formed, then subtracted.
 from __future__ import annotations
 
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .. import rng
-
-#: index -> (display name, structural class i..v)
-FUNCTION_TABLE: dict[int, tuple[str, str]] = {
-    1: ("Sphere", "i"),
-    2: ("Ellipsoidal A", "i"),
-    3: ("Rastrigin", "i"),
-    4: ("Rastrigin-Bueche", "i"),
-    5: ("Linear Slope", "i"),
-    6: ("Attractive Sector", "ii"),
-    7: ("Step Ellipsoidal", "ii"),
-    8: ("Rosenbrock", "ii"),
-    9: ("Rotated Rosenbrock", "ii"),
-    10: ("Ellipsoidal B", "iii"),
-    11: ("Discus", "iii"),
-    12: ("Bent Cigar", "iii"),
-    13: ("Sharp Ridge", "iii"),
-    14: ("Different Powers", "iii"),
-    15: ("Rastrigin Rotated", "iv"),
-    16: ("Weierstrass", "iv"),
-    17: ("Schaffers F7", "iv"),
-    18: ("Schaffers F7 Ill-Conditioned", "iv"),
-    19: ("Griewank-Rosenbrock F8F2", "iv"),
-    20: ("Schwefel", "v"),
-    21: ("Gallagher 101 Peaks", "v"),
-    22: ("Gallagher 21 Peaks", "v"),
-    23: ("Katsuura", "v"),
-    24: ("Lunacek bi-Rastrigin", "v"),
-}
-
-# Rotation matrices each function consumes (0, 1 = R, 2 = R and Q).
-_N_ROTATIONS = {
-    1: 0, 2: 0, 3: 0, 4: 0, 5: 0,
-    6: 2, 7: 2, 8: 0, 9: 1,
-    10: 1, 11: 1, 12: 1, 13: 2, 14: 1,
-    15: 2, 16: 2, 17: 2, 18: 2, 19: 1,
-    20: 0, 21: 1, 22: 1, 23: 2, 24: 2,
-}
 
 # Schwefel's optimum coordinate and the matching output offset, computed
 # in-code so the optimum evaluates to exactly zero in double precision.
@@ -115,7 +85,7 @@ def random_orthogonals(d: int, generators) -> np.ndarray:
 def draw_rotations(keys, d: int) -> dict:
     """The (R | None, Q | None) rotations of each (k, instance seed) in ``keys``.
 
-    Function k uses ``_N_ROTATIONS[k]`` of them; seed 0 gets identities.
+    Function k uses ``FUNCTIONS[k].rotations`` of them; seed 0 gets identities.
     Every other matrix comes from its own ``ROTATION_R``/``ROTATION_Q``
     substream of the seed, one substream per matrix, and all of them are
     orthonormalized in one stack.
@@ -123,7 +93,7 @@ def draw_rotations(keys, d: int) -> dict:
     pairs = {key: [None, None] for key in keys}
     drawn, generators = [], []
     for (k, seed), pair in pairs.items():
-        for i, tag in enumerate((rng.ROTATION_R, rng.ROTATION_Q)[: _N_ROTATIONS[k]]):
+        for i, tag in enumerate((rng.ROTATION_R, rng.ROTATION_Q)[: FUNCTIONS[k].rotations]):
             if seed == 0:
                 pair[i] = np.eye(d)
             else:
@@ -217,44 +187,32 @@ def build_params(k: int, d: int, instance_seed: int, rotations: tuple) -> dict:
     ``draw_rotations``.  Seed 0 is the identity instance: zero translation
     and identity rotations (the output offset is still drawn from its own
     stream).  Everything else pulls from per-purpose substreams of the seed,
-    so the result is reproducible field by field.
+    so the result is reproducible field by field.  The optimum is the drawn
+    translation unless the function places its own; each of the row's
+    ``powers`` becomes one array.
     """
     lin = _lin(d)
 
     if instance_seed == 0:
         t_raw = np.zeros(d)
     else:
-        t_raw = substream_uniform(instance_seed, rng.TRANSLATION, d, -4.0, 4.0)
+        t_raw = rng.substream(instance_seed, rng.TRANSLATION).uniform(-4.0, 4.0, size=d)
 
     r_mat, q_mat = rotations
     offset_stream = rng.substream(instance_seed, rng.F_OFFSET)
     f_offset = round(float(offset_stream.uniform(-100.0, 100.0)), 2)
 
-    p: dict = {"k": k, "d": d, "R": r_mat, "Q": q_mat, "f_offset": f_offset}
+    p: dict = {"k": k, "d": d, "R": r_mat, "Q": q_mat, "f_offset": f_offset, "x_opt": t_raw}
+    for name, (base, rate) in FUNCTIONS[k].powers.items():
+        p[name] = np.power(base, rate * lin)
 
-    if k == 1:
-        p["x_opt"] = t_raw
-    elif k == 2:
-        p["x_opt"] = t_raw
-        p["cond6"] = np.power(10.0, 6.0 * lin)
-    elif k == 3:
-        p["x_opt"] = t_raw
-        p["lam10"] = np.power(10.0, 0.5 * lin)
-    elif k == 4:
+    if k == 4:
         x_opt = t_raw.copy()
         x_opt[0::2] = np.abs(x_opt[0::2])
         p["x_opt"] = x_opt
-        p["s_base"] = np.power(10.0, 0.5 * lin)
     elif k == 5:
         p["x_opt"] = 5.0 * _sign_vec(t_raw)
         p["slope"] = np.sign(p["x_opt"]) * np.power(10.0, lin)
-    elif k == 6:
-        p["x_opt"] = t_raw
-        p["lam10"] = np.power(10.0, 0.5 * lin)
-    elif k == 7:
-        p["x_opt"] = t_raw
-        p["lam10"] = np.power(10.0, 0.5 * lin)
-        p["cond2"] = np.power(10.0, 2.0 * lin)
     elif k == 8:
         p["x_opt"] = 0.75 * t_raw
         p["scale"] = max(1.0, math.sqrt(d) / 8.0)
@@ -263,60 +221,28 @@ def build_params(k: int, d: int, instance_seed: int, rotations: tuple) -> dict:
         p["scale"] = scale
         # Optimum sits where the rotated, scaled coordinates all equal one.
         p["x_opt"] = r_mat.T @ np.full(d, 0.5 / scale)
-    elif k == 10:
-        p["x_opt"] = t_raw
-        p["cond6"] = np.power(10.0, 6.0 * lin)
-    elif k == 11:
-        p["x_opt"] = t_raw
-    elif k == 12:
-        p["x_opt"] = t_raw
-    elif k == 13:
-        p["x_opt"] = t_raw
-        p["lam10"] = np.power(10.0, 0.5 * lin)
     elif k == 14:
-        p["x_opt"] = t_raw
         p["exponents"] = 2.0 + 4.0 * lin
-    elif k == 15:
-        p["x_opt"] = t_raw
-        p["lam10"] = np.power(10.0, 0.5 * lin)
     elif k == 16:
-        p["x_opt"] = t_raw
-        p["lam001"] = np.power(0.01, 0.5 * lin)
         ks = np.arange(12, dtype=np.float64)
         p["half_pow"] = np.power(0.5, ks)
         p["three_pow"] = np.power(3.0, ks)
         p["f0"] = float(np.sum(p["half_pow"] * np.cos(np.pi * p["three_pow"])))
-    elif k == 17:
-        p["x_opt"] = t_raw
-        p["lam"] = np.power(10.0, 0.5 * lin)
-    elif k == 18:
-        p["x_opt"] = t_raw
-        p["lam"] = np.power(1000.0, 0.5 * lin)
     elif k == 20:
         signs = _sign_vec(t_raw)
         p["x_opt"] = 0.5 * _SCHWEFEL_X * signs
         p["signs"] = signs
-        p["lam10"] = np.power(10.0, 0.5 * lin)
     elif k in (21, 22):
         _build_gallagher(p, d, instance_seed, n_peaks=101 if k == 21 else 21)
     elif k == 23:
-        p["x_opt"] = t_raw
-        p["lam100"] = np.power(100.0, 0.5 * lin)
         p["two_pow"] = np.power(2.0, np.arange(1, 33, dtype=np.float64))
     elif k == 24:
         signs = _sign_vec(t_raw)
         p["x_opt"] = 1.25 * signs
         p["signs"] = signs
-        p["lam100"] = np.power(100.0, 0.5 * lin)
         p["s_const"] = 1.0 - 1.0 / (2.0 * math.sqrt(d + 20.0) - 8.2)
         p["mu1"] = -math.sqrt((2.5**2 - 1.0) / p["s_const"])
-    else:
-        raise ValueError(f"unknown BBOB function index {k}")
     return p
-
-
-def substream_uniform(seed: int, tag: int, d: int, lo: float, hi: float) -> np.ndarray:
-    return rng.substream(seed, tag).uniform(lo, hi, size=d)
 
 
 def _build_gallagher(p: dict, d: int, instance_seed: int, n_peaks: int) -> None:
@@ -541,29 +467,44 @@ def _f24_lunacek(p, x):
     return core + 1e4 * boundary_penalty(x)
 
 
-EVALUATORS = {
-    1: _f01_sphere,
-    2: _f02_ellipsoidal,
-    3: _f03_rastrigin,
-    4: _f04_bueche_rastrigin,
-    5: _f05_linear_slope,
-    6: _f06_attractive_sector,
-    7: _f07_step_ellipsoidal,
-    8: _f08_rosenbrock,
-    9: _f09_rosenbrock_rotated,
-    10: _f10_ellipsoidal_rotated,
-    11: _f11_discus,
-    12: _f12_bent_cigar,
-    13: _f13_sharp_ridge,
-    14: _f14_different_powers,
-    15: _f15_rastrigin_rotated,
-    16: _f16_weierstrass,
-    17: _schaffers,
-    18: _schaffers,
-    19: _f19_griewank_rosenbrock,
-    20: _f20_schwefel,
-    21: _gallagher,
-    22: _gallagher,
-    23: _f23_katsuura,
-    24: _f24_lunacek,
+class Function(NamedTuple):
+    """One benchmark function: its row in ``FUNCTIONS``."""
+
+    name: str
+    #: structural class i..v
+    group: str
+    #: rotation matrices it consumes: 0, 1 (R) or 2 (R and Q)
+    rotations: int
+    evaluate: Callable
+    #: parameter name -> (base, rate): the array ``base ** (rate * i/(d-1))``
+    powers: dict = {}
+
+
+#: index -> function, in suite order
+FUNCTIONS: dict[int, Function] = {
+    1: Function("Sphere", "i", 0, _f01_sphere),
+    2: Function("Ellipsoidal A", "i", 0, _f02_ellipsoidal, {"cond6": (10.0, 6.0)}),
+    3: Function("Rastrigin", "i", 0, _f03_rastrigin, {"lam10": (10.0, 0.5)}),
+    4: Function("Rastrigin-Bueche", "i", 0, _f04_bueche_rastrigin, {"s_base": (10.0, 0.5)}),
+    5: Function("Linear Slope", "i", 0, _f05_linear_slope),
+    6: Function("Attractive Sector", "ii", 2, _f06_attractive_sector, {"lam10": (10.0, 0.5)}),
+    7: Function("Step Ellipsoidal", "ii", 2, _f07_step_ellipsoidal,
+                {"lam10": (10.0, 0.5), "cond2": (10.0, 2.0)}),
+    8: Function("Rosenbrock", "ii", 0, _f08_rosenbrock),
+    9: Function("Rotated Rosenbrock", "ii", 1, _f09_rosenbrock_rotated),
+    10: Function("Ellipsoidal B", "iii", 1, _f10_ellipsoidal_rotated, {"cond6": (10.0, 6.0)}),
+    11: Function("Discus", "iii", 1, _f11_discus),
+    12: Function("Bent Cigar", "iii", 1, _f12_bent_cigar),
+    13: Function("Sharp Ridge", "iii", 2, _f13_sharp_ridge, {"lam10": (10.0, 0.5)}),
+    14: Function("Different Powers", "iii", 1, _f14_different_powers),
+    15: Function("Rastrigin Rotated", "iv", 2, _f15_rastrigin_rotated, {"lam10": (10.0, 0.5)}),
+    16: Function("Weierstrass", "iv", 2, _f16_weierstrass, {"lam001": (0.01, 0.5)}),
+    17: Function("Schaffers F7", "iv", 2, _schaffers, {"lam": (10.0, 0.5)}),
+    18: Function("Schaffers F7 Ill-Conditioned", "iv", 2, _schaffers, {"lam": (1000.0, 0.5)}),
+    19: Function("Griewank-Rosenbrock F8F2", "iv", 1, _f19_griewank_rosenbrock),
+    20: Function("Schwefel", "v", 0, _f20_schwefel, {"lam10": (10.0, 0.5)}),
+    21: Function("Gallagher 101 Peaks", "v", 1, _gallagher),
+    22: Function("Gallagher 21 Peaks", "v", 1, _gallagher),
+    23: Function("Katsuura", "v", 2, _f23_katsuura, {"lam100": (100.0, 0.5)}),
+    24: Function("Lunacek bi-Rastrigin", "v", 2, _f24_lunacek, {"lam100": (100.0, 0.5)}),
 }

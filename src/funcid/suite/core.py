@@ -33,9 +33,9 @@ class ProblemId:
 
 def _table_for(suite: Suite) -> dict:
     if suite is Suite.CONTINUOUS_BBOB:
-        return bbob.FUNCTION_TABLE
+        return bbob.FUNCTIONS
     if suite is Suite.DISCRETE_PB:
-        return discrete.FUNCTION_TABLE
+        return discrete.FUNCTIONS
     raise SuiteError(f"unknown suite {suite!r}")
 
 
@@ -44,9 +44,7 @@ def problem(suite: Suite, index: int) -> ProblemId:
     table = _table_for(suite)
     if index not in table:
         raise SuiteError(f"index {index} outside {suite.value} suite range")
-    entry = table[index]
-    name = entry[0] if suite is Suite.CONTINUOUS_BBOB else entry
-    return ProblemId(suite, index, name)
+    return ProblemId(suite, index, table[index].name)
 
 
 def list_functions(suite: Suite) -> tuple[ProblemId, ...]:
@@ -56,7 +54,7 @@ def list_functions(suite: Suite) -> tuple[ProblemId, ...]:
 
 def bbob_class(index: int) -> str:
     """Structural class tag i..v of a continuous function."""
-    return bbob.FUNCTION_TABLE[index][1]
+    return bbob.FUNCTIONS[index].group
 
 
 @dataclass(eq=False)
@@ -82,9 +80,10 @@ class FunctionInstance:
         return self.translation
 
     def evaluate_raw(self, x: np.ndarray) -> np.ndarray:
+        fn = _table_for(self.problem.suite)[self.problem.index].evaluate
         if self.problem.suite is Suite.CONTINUOUS_BBOB:
-            return bbob.EVALUATORS[self.problem.index](self.params, x) + self.f_offset
-        return discrete.EVALUATORS[self.problem.index](x)
+            return fn(self.params, x) + self.f_offset
+        return fn(x)
 
 
 def make_instance(
@@ -148,7 +147,7 @@ def _check_rotations(prob: ProblemId, d: int, rotations) -> None:
     array, the layout the evaluators' pinned gemv order assumes; the others
     must be None.
     """
-    n_rot = bbob._N_ROTATIONS[prob.index] if prob.suite is Suite.CONTINUOUS_BBOB else 0
+    n_rot = bbob.FUNCTIONS[prob.index].rotations if prob.suite is Suite.CONTINUOUS_BBOB else 0
     if not isinstance(rotations, tuple) or len(rotations) != 2:
         raise SuiteError("rotations must be an (R | None, Q | None) pair")
     present = [m is not None for m in rotations]

@@ -11,19 +11,9 @@ in any order; LABS ends in one division.
 from __future__ import annotations
 
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
-
-#: index -> display name, in suite order
-FUNCTION_TABLE: dict[int, str] = {
-    1: "OneMax",
-    2: "LeadingOnes",
-    3: "Linear",
-    4: "LABS",
-    5: "IsingRing",
-    6: "IsingTriangular",
-}
-
 
 def one_max(x: np.ndarray) -> np.ndarray:
     return np.sum(x, axis=1)
@@ -69,13 +59,21 @@ def ising_triangular(x: np.ndarray) -> np.ndarray:
     return total
 
 
-EVALUATORS = {
-    1: one_max,
-    2: leading_ones,
-    3: linear,
-    4: labs,
-    5: ising_ring,
-    6: ising_triangular,
+class Function(NamedTuple):
+    """One pseudo-Boolean function: its row in ``FUNCTIONS``."""
+
+    name: str
+    evaluate: Callable
+
+
+#: index -> function, in suite order
+FUNCTIONS: dict[int, Function] = {
+    1: Function("OneMax", one_max),
+    2: Function("LeadingOnes", leading_ones),
+    3: Function("Linear", linear),
+    4: Function("LABS", labs),
+    5: Function("IsingRing", ising_ring),
+    6: Function("IsingTriangular", ising_triangular),
 }
 
 
