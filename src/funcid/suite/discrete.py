@@ -15,6 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+
 def one_max(x: np.ndarray) -> np.ndarray:
     return np.sum(x, axis=1)
 
