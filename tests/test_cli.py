@@ -17,8 +17,9 @@ import funcid.experiments
 from funcid.cli import main
 from funcid.datasets import load
 from funcid.experiments import ExperimentError, ExperimentPreset
-from funcid.nn import init_model, save_model
-from funcid.suite import Suite, evaluate, make_instance, problem
+from funcid.metrics import accuracy, confusion, emit_breakdown
+from funcid.nn import init_model, load_model, predict, save_model
+from funcid.suite import Suite, evaluate, list_functions, make_instance, problem
 
 
 class TestFuncsDump:
@@ -196,6 +197,24 @@ class TestGenerateTrainEval:
         out = capsys.readouterr().out
         assert "accuracy: " in out and "over 24 images" in out
         assert (tmp_path / "breakdown.csv").is_file()
+
+    def test_eval_matches_a_reference_score(self, tiny_data, tmp_path, capsys):
+        model_path, out = tmp_path / "model.lmdl", tmp_path / "breakdown.csv"
+        assert main(["train", "--data", str(tiny_data / "train.limg"), "--epochs", "2",
+                     "--preset", "perceptron3", "--out", str(model_path)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model_path), "--data", str(tiny_data / "test.limg"),
+                     "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+
+        ds = load(tiny_data / "test.limg")
+        predictions = predict(load_model(model_path), ds)
+        names = [p.display_name for p in list_functions(Suite.CONTINUOUS_BBOB)]
+        reference = tmp_path / "reference.csv"
+        emit_breakdown(names, confusion(ds.labels, predictions, 24), reference)
+        assert out.read_bytes() == reference.read_bytes()
+        acc = accuracy(ds.labels, predictions)
+        assert lines == [f"breakdown: {out}", f"accuracy: {acc:.4f} over 24 images"]
 
     @pytest.mark.parametrize("argv", [
         ["train"],

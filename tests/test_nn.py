@@ -836,6 +836,22 @@ class TestTrain:
         assert report.has_validation
         assert report.best_epoch == int(np.argmin(report.val_loss)) + 1
 
+    def test_validation_matches_predict_across_chunks(self):
+        # 300 validation images span two inference chunks of 256; the epoch's
+        # validation figures are those of the trained model's predict logits.
+        gen = np.random.default_rng(5)
+        x = gen.random((12, 8, 8)).astype(np.float32)
+        y = np.arange(12) % 3
+        xv = gen.random((300, 8, 8)).astype(np.float32)
+        yv = np.arange(300) % 3
+        model = init_model("perceptron3", 3, 8, seed=4)
+        _, report = train(
+            model, (x, y), (xv, yv), TrainConfig(learning_rate=0.05, epochs=1, batch_size=4, seed=1)
+        )
+        loss, acc = _loss_and_accuracy(predict_logits(model, xv), yv)
+        assert report.val_loss[0] == loss
+        assert report.val_acc[0] == acc
+
     def test_divergence_guard(self):
         x = (np.random.default_rng(2).random((8, 8, 8)) * 1e30).astype(np.float32)
         y = np.arange(8) % 3
