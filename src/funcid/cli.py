@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, rng
+from . import __version__, nn, rng
 from .datasets import (
     DatasetError,
     DatasetFormatError,
@@ -36,21 +36,19 @@ from .experiments import (
     ExperimentPreset,
     PRESET_NAMES,
     run_preset,
+    score,
 )
-from .metrics import MetricsError, accuracy, confusion, emit_breakdown
+from .metrics import MetricsError
 from .nn import (
     CheckpointError,
     ModelError,
     TrainConfig,
     init_model,
     load_model,
-    predict,
     save_model,
     train,
 )
 from .suite import Suite, SuiteError, evaluate, list_functions, make_instance, problem
-
-_SUITES = {"bbob": Suite.CONTINUOUS_BBOB, "discrete": Suite.DISCRETE_PB}
 
 
 class CliError(ValueError):
@@ -104,7 +102,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _cmd_funcs_dump(args) -> int:
-    prob = problem(_SUITES[args.suite], args.k)
+    prob = problem(Suite(args.suite), args.k)
     inst = make_instance(prob, args.dim, args.seed)
     if args.at is None:
         raise CliError("--at x1,x2,... is required")
@@ -117,7 +115,7 @@ def _cmd_funcs_dump(args) -> int:
 
 
 def _cmd_funcs_list(args) -> int:
-    for prob in list_functions(_SUITES[args.suite]):
+    for prob in list_functions(Suite(args.suite)):
         print(f"{prob.index:2d}  {prob.display_name}")
     return 0
 
@@ -127,7 +125,7 @@ def _cmd_funcs_list(args) -> int:
 
 def _cmd_generate(args) -> int:
     spec = DatasetSpec(
-        suite=_SUITES[args.suite],
+        suite=Suite(args.suite),
         dim=args.dim,
         encoder=EncoderConfig(
             dim=args.dim,
@@ -180,6 +178,11 @@ def _cmd_train(args) -> int:
     train_ds = load(args.data)
     val_ds = load(args.val) if args.val else None
     meta = train_ds.manifest
+    if val_ds is not None and val_ds.manifest.spec.suite is not meta.spec.suite:
+        raise CliError(
+            f"--val {args.val} holds {val_ds.manifest.spec.suite.value} images but"
+            f" --data {args.data} holds {meta.spec.suite.value} images"
+        )
     model = init_model(
         args.preset,
         class_count=meta.class_count,
@@ -217,12 +220,13 @@ def _cmd_eval(args) -> int:
         raise CliError("--model and --data are required")
     model = load_model(args.model)
     ds = load(args.data)
-    predictions = predict(model, ds)
-    acc = accuracy(ds.labels, predictions)
-    cm = confusion(ds.labels, predictions, ds.manifest.class_count)
-    names = [p.display_name for p in list_functions(ds.manifest.spec.suite)]
+    if model.meta.class_count != ds.manifest.class_count:
+        raise CliError(
+            f"--model {args.model} has {model.meta.class_count} classes but"
+            f" --data {args.data} has {ds.manifest.class_count}"
+        )
+    acc = score(model, ds, args.out)
     if args.out:
-        emit_breakdown(names, cm, args.out)
         print(f"breakdown: {args.out}")
     print(f"accuracy: {acc:.4f} over {len(ds)} images")
     return 0
@@ -270,21 +274,21 @@ def build_parser() -> argparse.ArgumentParser:
     funcs = subs.add_parser("funcs", help="inspect benchmark functions")
     funcs_subs = funcs.add_subparsers(dest="funcs_command", required=True)
     dump = funcs_subs.add_parser("dump", help="evaluate one instance at a point")
-    dump.add_argument("--suite", choices=sorted(_SUITES), default="bbob")
+    dump.add_argument("--suite", choices=[s.value for s in Suite], default="bbob")
     dump.add_argument("--k", type=int, default=1, help="function index within the suite")
     dump.add_argument("--dim", type=int, default=2)
     dump.add_argument("--at", help="comma-separated point, e.g. 0.5,0.5")
     _add_common(dump)
     dump.set_defaults(fn=_cmd_funcs_dump, sub=dump)
     listing = funcs_subs.add_parser("list", help="list suite functions in order")
-    listing.add_argument("--suite", choices=sorted(_SUITES), default="bbob")
+    listing.add_argument("--suite", choices=[s.value for s in Suite], default="bbob")
     listing.set_defaults(fn=_cmd_funcs_list)
 
     gen = subs.add_parser("generate", help="build a labeled landscape-image dataset")
-    gen.add_argument("--suite", choices=sorted(_SUITES), default="bbob")
+    gen.add_argument("--suite", choices=[s.value for s in Suite], default="bbob")
     gen.add_argument("--dim", type=int, default=22)
     gen.add_argument("--n", type=int, default=24, help="sample vectors per image")
-    gen.add_argument("--type", type=int, choices=[1, 2, 3, 4, 5], default=1,
+    gen.add_argument("--type", type=int, choices=[int(t) for t in ImageType], default=1,
                      help="image layout type")
     gen.add_argument("--frame", type=int, default=32, help="frame size M")
     gen.add_argument("--domain", choices=[d.value for d in DomainMap],
@@ -307,15 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
     tr = subs.add_parser("train", help="train a classifier on a dataset")
     tr.add_argument("--data", help="training dataset (.limg)")
     tr.add_argument("--val", help="optional validation dataset (.limg)")
-    tr.add_argument("--preset", choices=["perceptron1", "perceptron3", "lenet5"],
-                    default="perceptron3")
+    tr.add_argument("--preset", choices=nn.PRESETS, default="perceptron3")
     tr.add_argument("--lr", type=float, default=1e-3)
     tr.add_argument("--epochs", type=int, default=100)
     tr.add_argument("--batch-size", dest="batch_size", type=int, default=64)
     tr.add_argument("--momentum", type=float, default=0.0)
-    tr.add_argument("--optimizer", choices=["sgd", "adam"], default="adam")
-    tr.add_argument("--activation", choices=["relu", "tanh"], default="relu")
-    tr.add_argument("--input-norm", dest="input_norm", choices=["minmax", "raw"],
+    tr.add_argument("--optimizer", choices=nn.training.OPTIMIZERS, default="adam")
+    tr.add_argument("--activation", choices=list(nn.network.ACTIVATIONS), default="relu")
+    tr.add_argument("--input-norm", dest="input_norm", choices=nn.network.INPUT_NORMS,
                     default="minmax")
     tr.add_argument("--out", default="model.lmdl", help="checkpoint path (.lmdl)")
     tr.add_argument("--report", help="training report CSV path")

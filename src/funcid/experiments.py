@@ -175,10 +175,6 @@ class _Run:
     master_seed: int
 
 
-def _class_names(suite: Suite) -> list[str]:
-    return [p.display_name for p in list_functions(suite)]
-
-
 def _train_stage(
     spec: DatasetSpec, s: dict, run: _Run, tag: str, model_seed: int, save_checkpoint: bool = True
 ):
@@ -206,13 +202,13 @@ def _train_stage(
     return best, splits
 
 
-def _eval_stage(model, dataset: Dataset, out_dir: Path, tag: str) -> float:
-    """Predict on one dataset; writes the per-class breakdown CSV."""
+def score(model, dataset: Dataset, breakdown: str | Path | None) -> float:
+    """Accuracy on one dataset; writes the per-class breakdown CSV to ``breakdown`` if given."""
     predictions = predict(model, dataset)
     cm = confusion(dataset.labels, predictions, dataset.manifest.class_count)
-    emit_breakdown(
-        _class_names(dataset.manifest.spec.suite), cm, out_dir / f"breakdown_{tag}.csv"
-    )
+    if breakdown:
+        names = [p.display_name for p in list_functions(dataset.manifest.spec.suite)]
+        emit_breakdown(names, cm, breakdown)
     return accuracy(dataset.labels, predictions)
 
 
@@ -221,7 +217,7 @@ def _run_cycle(
 ) -> float:
     """Build datasets, train, write artifacts; returns the test-split accuracy."""
     best, splits = _train_stage(spec, s, run, tag, model_seed, save_checkpoint)
-    return _eval_stage(best, splits["test"], run.out_dir, tag)
+    return score(best, splits["test"], run.out_dir / f"breakdown_{tag}.csv")
 
 
 def _bbob_spec(
@@ -310,13 +306,13 @@ def _unseen_l3(s: dict, run: _Run) -> dict:
         regime=Regime.L3, instances=s["instances"], unseen=s["unseen_instances"],
     )
     best, splits = _train_stage(spec, s, run, "l3", rng.derive_seed(run.master_seed, 142))
-    out = {"clean_accuracy": _eval_stage(best, splits["test"], run.out_dir, "l3_clean")}
+    out = {"clean_accuracy": score(best, splits["test"], run.out_dir / "breakdown_l3_clean.csv")}
     if "uniform_lo" in s:  # UnseenL3Noisy: also score the test split under uniform noise
         noisy_test = add_uniform_noise(
             splits["test"], s["uniform_lo"], s["uniform_hi"],
             rng.derive_seed(spec.master_seed, rng.NOISE, 2),
         )
-        out["noisy_accuracy"] = _eval_stage(best, noisy_test, run.out_dir, "l3_noisy")
+        out["noisy_accuracy"] = score(best, noisy_test, run.out_dir / "breakdown_l3_noisy.csv")
     return out
 
 

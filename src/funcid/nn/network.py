@@ -30,8 +30,8 @@ from .layers import AvgPool2D, Conv2D, Dense, Flatten, Layer, ReLU, Reshape, Tan
 PRESETS = ("perceptron1", "perceptron3", "lenet5")
 
 _DTYPE_NAMES = {"float32": np.float32, "float64": np.float64}
-_ACTIVATIONS = {"relu": ReLU, "tanh": Tanh}
-_INPUT_NORMS = ("minmax", "raw")
+ACTIVATIONS = {"relu": ReLU, "tanh": Tanh}
+INPUT_NORMS = ("minmax", "raw")
 
 
 class ModelError(ValueError):
@@ -154,7 +154,7 @@ def min_max(pixels: np.ndarray) -> np.ndarray:
 
 def _layer_stack(meta: ModelMeta) -> list[Layer]:
     m, k = meta.frame_size, meta.class_count
-    act = _ACTIVATIONS[meta.activation]
+    act = ACTIVATIONS[meta.activation]
     if meta.preset == "perceptron1":
         return [Flatten(), Dense(k)]
     if meta.preset == "perceptron3":
@@ -187,7 +187,7 @@ def _layer_stack(meta: ModelMeta) -> list[Layer]:
 
 def build_network(meta: ModelMeta) -> Network:
     """Instantiate and deterministically initialize the preset topology."""
-    options = {"dtype": _DTYPE_NAMES, "activation": _ACTIVATIONS, "input_norm": _INPUT_NORMS}
+    options = {"dtype": _DTYPE_NAMES, "activation": ACTIVATIONS, "input_norm": INPUT_NORMS}
     for field, choices in options.items():
         value = getattr(meta, field)
         if value not in choices:
@@ -244,13 +244,18 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     return loss, dlogits
 
 
-def predict_logits(model: Network, pixels: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    chunks = [
-        model.forward(pixels[i : i + batch_size]) for i in range(0, len(pixels), batch_size)
-    ]
-    if not chunks:
-        return np.zeros((0, model.meta.class_count))
-    return np.concatenate(chunks)
+# Images per forward pass in predict_logits and in training's validation.
+_CHUNK = 256
+
+
+def chunked_logits(model: Network, x: np.ndarray, forward) -> np.ndarray:
+    """``forward`` (``model.forward`` or ``forward_normalized``) over ``x`` in chunks."""
+    chunks = [forward(x[i : i + _CHUNK]) for i in range(0, len(x), _CHUNK)]
+    return np.concatenate(chunks) if chunks else np.zeros((0, model.meta.class_count))
+
+
+def predict_logits(model: Network, pixels: np.ndarray) -> np.ndarray:
+    return chunked_logits(model, pixels, model.forward)
 
 
 def predict(model: Network, data) -> np.ndarray:

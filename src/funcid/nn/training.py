@@ -7,7 +7,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import rng
-from .network import Network, cross_entropy
+from .network import Network, chunked_logits, cross_entropy
+
+
+OPTIMIZERS = ("sgd", "adam")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -28,7 +31,7 @@ class TrainConfig:
             raise ValueError("learning rate must be >= 0")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
-        if self.optimizer not in ("sgd", "adam"):
+        if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
@@ -122,7 +125,8 @@ def train(model: Network, train_data, val_data, cfg: TrainConfig) -> tuple[Netwo
         report.train_loss.append(epoch_loss / len(x_all))
         report.train_acc.append(epoch_hits / len(x_all))
         if has_val:
-            vl, va = _eval_normalized(model, x_val, y_val)
+            logits = chunked_logits(model, x_val, model.forward_normalized)
+            vl, va = _loss_and_accuracy(logits, y_val)
             report.val_loss.append(vl)
             report.val_acc.append(va)
             selection = vl
@@ -206,10 +210,3 @@ def _make_stepper(cfg: TrainConfig, model: Network):
             np.subtract(ps, np.multiply(g, cfg.learning_rate, out=tmp[: g.size]), out=ps)
 
     return sgd_step
-
-
-def _eval_normalized(model: Network, x_norm: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-    chunks = [
-        model.forward_normalized(x_norm[i : i + 256]) for i in range(0, len(x_norm), 256)
-    ]
-    return _loss_and_accuracy(np.concatenate(chunks), labels)

@@ -23,12 +23,14 @@ class SuiteError(ValueError):
 class ProblemId:
     suite: Suite
     index: int
-    display_name: str
 
     def __post_init__(self):
-        table = _table_for(self.suite)
-        if self.index not in table:
+        if self.index not in _table_for(self.suite):
             raise SuiteError(f"index {self.index} outside {self.suite.value} suite range")
+
+    @property
+    def display_name(self) -> str:
+        return _table_for(self.suite)[self.index].name
 
 
 def _table_for(suite: Suite) -> dict:
@@ -41,10 +43,7 @@ def _table_for(suite: Suite) -> dict:
 
 def problem(suite: Suite, index: int) -> ProblemId:
     """The ProblemId for function ``index`` of ``suite``."""
-    table = _table_for(suite)
-    if index not in table:
-        raise SuiteError(f"index {index} outside {suite.value} suite range")
-    return ProblemId(suite, index, table[index].name)
+    return ProblemId(suite, index)
 
 
 def list_functions(suite: Suite) -> tuple[ProblemId, ...]:
@@ -61,23 +60,28 @@ def bbob_class(index: int) -> str:
 class FunctionInstance:
     """A concrete seeded realization of a benchmark function.
 
-    ``translation`` stores the instance optimum location for the continuous
-    suite (it coincides with the drawn shift for most functions and is the
-    structurally determined optimum for the rest).  Discrete instances carry
-    no transforms: the seed is recorded but evaluation is the raw function.
+    The optimum location ``translation`` (the drawn shift for most continuous
+    functions, the structurally determined optimum for the rest), the
+    rotations and the offset are read from ``params``.  Discrete instances
+    have empty ``params`` and no transforms: evaluation is the raw function.
     """
 
     problem: ProblemId
     dim: int
     instance_seed: int
-    translation: np.ndarray | None
-    rotations: tuple[np.ndarray, ...]
-    f_offset: float
     params: dict = field(repr=False)
 
     @property
-    def x_opt(self) -> np.ndarray | None:
-        return self.translation
+    def translation(self) -> np.ndarray | None:
+        return self.params.get("x_opt")
+
+    @property
+    def rotations(self) -> tuple[np.ndarray, ...]:
+        return tuple(m for m in (self.params.get("R"), self.params.get("Q")) if m is not None)
+
+    @property
+    def f_offset(self) -> float:
+        return self.params.get("f_offset", 0.0)
 
     def evaluate_raw(self, x: np.ndarray) -> np.ndarray:
         fn = _table_for(self.problem.suite)[self.problem.index].evaluate
@@ -103,7 +107,6 @@ def make_instance(
     """
     if not isinstance(prob, ProblemId):
         raise SuiteError(f"expected ProblemId, got {type(prob).__name__}")
-    _table_for(prob.suite)  # validates suite
     if rotations is not None:
         _check_rotations(prob, d, rotations)
 
@@ -114,30 +117,13 @@ def make_instance(
             key = (prob.index, instance_seed)
             rotations = bbob.draw_rotations([key], d)[key]
         params = bbob.build_params(prob.index, d, instance_seed, rotations)
-        rotations = tuple(m for m in (params["R"], params["Q"]) if m is not None)
-        return FunctionInstance(
-            problem=prob,
-            dim=d,
-            instance_seed=instance_seed,
-            translation=np.asarray(params["x_opt"], dtype=np.float64),
-            rotations=rotations,
-            f_offset=params["f_offset"],
-            params=params,
-        )
+        return FunctionInstance(prob, d, instance_seed, params)
 
     try:
         discrete.validate_dim(prob.index, d)
     except ValueError as exc:
         raise SuiteError(str(exc)) from None
-    return FunctionInstance(
-        problem=prob,
-        dim=d,
-        instance_seed=instance_seed,
-        translation=None,
-        rotations=(),
-        f_offset=0.0,
-        params={},
-    )
+    return FunctionInstance(prob, d, instance_seed, {})
 
 
 def _check_rotations(prob: ProblemId, d: int, rotations) -> None:

@@ -179,10 +179,18 @@ def _split_sizes(out: str) -> dict[str, int]:
     return {ln.split(":")[0]: int(ln.split()[1]) for ln in out.splitlines() if " images, " in ln}
 
 
+def _generate(out: Path, argv: list[str]) -> Path:
+    assert main(["generate", *argv, "--out", str(out)]) == 0
+    return out
+
+
+# A tiny discrete dataset: 6 classes, one image per class in train and test.
+TINY_PB = ["--suite", "discrete", "--dim", "9", "--per-class", "1", "--per-class-test", "1"]
+
+
 @pytest.fixture
 def tiny_data(tmp_path, capsys) -> Path:
-    out = tmp_path / "data"
-    assert main(["generate", *TINY_GEN, "--out", str(out)]) == 0
+    out = _generate(tmp_path / "data", TINY_GEN)
     capsys.readouterr()
     return out
 
@@ -215,6 +223,53 @@ class TestGenerateTrainEval:
         assert out.read_bytes() == reference.read_bytes()
         acc = accuracy(ds.labels, predictions)
         assert lines == [f"breakdown: {out}", f"accuracy: {acc:.4f} over 24 images"]
+
+    @pytest.mark.parametrize("discrete_val", [True, False], ids=["bbob-data", "discrete-data"])
+    def test_val_from_another_suite_exits_2(self, discrete_val, tiny_data, tmp_path, capsys):
+        bbob = tiny_data / "train.limg"
+        discrete = _generate(tmp_path / "pb", TINY_PB) / "train.limg"
+        data, val = (bbob, discrete) if discrete_val else (discrete, bbob)
+        model = tmp_path / "model.lmdl"
+        assert main(["train", "--data", str(data), "--val", str(val), "--epochs", "1",
+                     "--out", str(model)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and str(data) in line and str(val) in line
+        assert not model.exists()
+
+    def test_val_of_another_dim_trains(self, tiny_data, tmp_path, capsys):
+        val = _generate(tmp_path / "d5", ["--dim", "5", "--per-class", "1",
+                                          "--per-class-test", "0"])
+        model = tmp_path / "model.lmdl"
+        assert main(["train", "--data", str(tiny_data / "train.limg"),
+                     "--val", str(val / "train.limg"), "--epochs", "1", "--out", str(model)]) == 0
+        assert model.is_file()
+
+    @pytest.mark.parametrize("discrete_model", [True, False], ids=["6-on-24", "24-on-6"])
+    def test_model_of_another_class_count_exits_2(self, discrete_model, tiny_data, tmp_path,
+                                                  capsys):
+        pb = _generate(tmp_path / "pb", TINY_PB)
+        train_dir, test_dir = (pb, tiny_data) if discrete_model else (tiny_data, pb)
+        model, out = tmp_path / "model.lmdl", tmp_path / "breakdown.csv"
+        assert main(["train", "--data", str(train_dir / "train.limg"), "--epochs", "1",
+                     "--out", str(model)]) == 0
+        capsys.readouterr()
+        data = test_dir / "test.limg"
+        assert main(["eval", "--model", str(model), "--data", str(data), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and str(model) in line and str(data) in line
+        assert captured.out == "" and not out.exists()
+
+    def test_model_of_another_dim_scores(self, tmp_path, capsys):
+        d22 = _generate(tmp_path / "d22", ["--dim", "22", "--per-class", "1",
+                                           "--per-class-test", "0"])
+        d10 = _generate(tmp_path / "d10", ["--dim", "10", "--per-class", "1",
+                                           "--per-class-test", "1"])
+        model = tmp_path / "model.lmdl"
+        assert main(["train", "--data", str(d22 / "train.limg"), "--epochs", "1",
+                     "--out", str(model)]) == 0
+        assert main(["eval", "--model", str(model), "--data", str(d10 / "test.limg")]) == 0
+        assert "over 24 images" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
         ["train"],

@@ -332,7 +332,7 @@ def _bbob_points(inst) -> np.ndarray:
             gen.uniform(-5.0, 5.0, (8, d)),
             gen.uniform(-12.0, 12.0, (4, d)),
             probes,
-            inst.x_opt[None, :],
+            inst.translation[None, :],
         ]
     )
 

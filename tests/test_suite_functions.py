@@ -122,13 +122,13 @@ class TestMakeInstance:
 
     def test_optimum_evaluates_to_offset(self):
         inst = make_instance(problem(BBOB, 1), 22, 7)
-        assert abs(evaluate(inst, inst.x_opt) - inst.f_offset) < 1e-9
+        assert abs(evaluate(inst, inst.translation) - inst.f_offset) < 1e-9
 
     @pytest.mark.parametrize("k", range(1, 25))
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**62 + 11])
     def test_optimum_consistency_all_functions(self, k, seed):
         inst = make_instance(problem(BBOB, k), 5, seed)
-        assert abs(evaluate(inst, inst.x_opt) - inst.f_offset) < 1e-9
+        assert abs(evaluate(inst, inst.translation) - inst.f_offset) < 1e-9
 
     def test_rotation_orthogonality(self):
         inst = make_instance(problem(BBOB, 3), 5, 3)
