@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
+import pkgutil
 import struct
 import sys
 import types
@@ -12,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import funcid
 import funcid.cli
 import funcid.experiments
 from funcid.cli import main
@@ -163,6 +166,38 @@ class TestExperiment:
         preset = ExperimentPreset("UnseenL3Noisy", overrides={"lr": 1, "uniform_lo": -2})
         settings = preset.settings()
         assert (settings["lr"], settings["uniform_lo"]) == (1, -2)
+
+    def test_override_without_equals_exits_2_without_a_run_dir(self, tmp_path, capsys):
+        code = main(["experiment", "UnseenL3", "--out", str(tmp_path), "--set", "epochs"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: override 'epochs' is not key=value\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_json_override_stays_a_string(self, tmp_path, preset_calls):
+        assert main(["experiment", "UnseenL3", "--out", str(tmp_path),
+                     "--set", "domain=bbob_box", "--set", "epochs=2"]) == 0
+        assert preset_calls[0][0].overrides == {"domain": "bbob_box", "epochs": 2}
+
+    def test_unknown_optimizer_exits_2_without_a_run_dir(self, tmp_path, capsys):
+        code = main(["experiment", "UnseenL3", "--out", str(tmp_path),
+                     "--set", "optimizer=rmsprop"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: unknown optimizer 'rmsprop'\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_preset_is_rejected(self):
+        with pytest.raises(ExperimentError) as info:
+            ExperimentPreset("UnseenL4")
+        assert str(info.value) == (
+            "unknown preset 'UnseenL4'; choose from ('BaseL1DimSweep', 'NSweep',"
+            " 'TypeComparison', 'MultiInstanceL2', 'UnseenL3', 'UnseenL3Noisy',"
+            " 'GaussianNoiseL1', 'DiscreteL1')"
+        )
+
+    def test_unknown_scale_is_rejected(self):
+        with pytest.raises(ExperimentError) as info:
+            ExperimentPreset("UnseenL3", scale="huge")
+        assert str(info.value) == "scale must be 'desk' or 'paper', got 'huge'"
 
 
 # A tiny d=2 BBOB dataset: 24 classes, one image per class in train and test.
@@ -328,6 +363,30 @@ class TestGenerateTrainEval:
         assert f"uniform noise range {message} needs finite bounds" in capsys.readouterr().err
         assert built == [] and list(tmp_path.iterdir()) == []
 
+    def test_report_holds_one_row_per_epoch(self, tiny_data, tmp_path, capsys):
+        report = tmp_path / "report.csv"
+        assert main(["train", "--data", str(tiny_data / "train.limg"), "--epochs", "3",
+                     "--out", str(tmp_path / "model.lmdl"), "--report", str(report)]) == 0
+        summary = capsys.readouterr().out.splitlines()[0]
+        header, *rows = report.read_text(encoding="utf-8").splitlines()
+        assert header == "epoch,train_loss,train_acc,val_loss,val_acc"
+        assert [row.split(",")[0] for row in rows] == ["1", "2", "3"]
+        # No --val: the printed final accuracy is the last epoch's train_acc.
+        assert all(row.endswith(",,") for row in rows)
+        assert summary.endswith(f"final acc {float(rows[-1].split(',')[2]):.4f}")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--lr", "-0.5"], "learning rate must be >= 0"),
+        (["--batch-size", "0"], "batch_size and epochs must be >= 1"),
+        (["--epochs", "0"], "batch_size and epochs must be >= 1"),
+    ], ids=["negative-lr", "batch-size-0", "epochs-0"])
+    def test_train_config_rejection_exits_2(self, flags, message, tiny_data, tmp_path, capsys):
+        model = tmp_path / "model.lmdl"
+        assert main(["train", "--data", str(tiny_data / "train.limg"), "--epochs", "1", *flags,
+                     "--out", str(model)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not model.exists()
+
     def test_momentum_with_adam_exits_2(self, tiny_data, tmp_path, capsys):
         model = tmp_path / "model.lmdl"
         assert main(["train", "--data", str(tiny_data / "train.limg"), "--epochs", "1",
@@ -395,6 +454,43 @@ class TestGenerateTrainEval:
         assert main(["eval", "--model", str(model), "--data", str(tiny_data / "test.limg")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("runtime failure: ") and message in err
+
+
+def _funcid_errors() -> list[type]:
+    """Every exception class defined in a funcid module."""
+    for info in pkgutil.walk_packages(funcid.__path__, "funcid."):
+        importlib.import_module(info.name)
+    return sorted({
+        obj for name, module in sys.modules.items()
+        if name == "funcid" or name.startswith("funcid.")
+        for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == name
+    }, key=lambda cls: cls.__qualname__)
+
+
+FUNCID_ERRORS = _funcid_errors()
+
+
+class TestErrorClasses:
+    """A configuration error is a ValueError (exit 2), a runtime failure a RuntimeError (exit 1)."""
+
+    def test_every_error_is_a_value_error_or_a_runtime_error(self):
+        names = {cls.__name__ for cls in FUNCID_ERRORS}
+        assert names >= {"CliError", "ExperimentError", "DatasetFormatError", "CheckpointError"}
+        for cls in FUNCID_ERRORS:
+            assert issubclass(cls, ValueError) != issubclass(cls, RuntimeError), cls
+
+    @pytest.mark.parametrize("error", FUNCID_ERRORS, ids=lambda cls: cls.__name__)
+    def test_main_maps_the_error_to_its_exit_code(self, error, monkeypatch, capsys):
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setattr(funcid.cli, "_cmd_funcs_list", fail)
+        code = main(["funcs", "list"])
+        if issubclass(error, ValueError):
+            assert (code, capsys.readouterr().err) == (2, "error: boom\n")
+        else:
+            assert (code, capsys.readouterr().err) == (1, "runtime failure: boom\n")
 
 
 class TestJobsFlag:
