@@ -20,8 +20,6 @@ import numpy as np
 
 from . import __version__, nn, rng
 from .datasets import (
-    DatasetError,
-    DatasetFormatError,
     DatasetSpec,
     NoiseKind,
     NoiseSpec,
@@ -30,25 +28,10 @@ from .datasets import (
     load,
     save,
 )
-from .encoder import DomainMap, EncoderConfig, EncoderError, ImageType, pillow_image, write_png
-from .experiments import (
-    ExperimentError,
-    ExperimentPreset,
-    PRESET_NAMES,
-    run_preset,
-    score,
-)
-from .metrics import MetricsError
-from .nn import (
-    CheckpointError,
-    ModelError,
-    TrainConfig,
-    init_model,
-    load_model,
-    save_model,
-    train,
-)
-from .suite import Suite, SuiteError, evaluate, list_functions, make_instance, problem
+from .encoder import DomainMap, EncoderConfig, ImageType, pillow_image, write_png
+from .experiments import PRESET_NAMES, SCALES, ExperimentPreset, run_preset, score
+from .nn import TrainConfig, init_model, load_model, save_model, train
+from .suite import Suite, evaluate, list_functions, make_instance, problem
 
 
 class CliError(ValueError):
@@ -178,15 +161,24 @@ def _cmd_train(args) -> int:
     train_ds = load(args.data)
     val_ds = load(args.val) if args.val else None
     meta = train_ds.manifest
-    if val_ds is not None and val_ds.manifest.spec.suite is not meta.spec.suite:
-        raise CliError(
-            f"--val {args.val} holds {val_ds.manifest.spec.suite.value} images but"
-            f" --data {args.data} holds {meta.spec.suite.value} images"
-        )
+    frame = meta.spec.encoder.frame_size
+    if val_ds is not None:
+        val = val_ds.manifest.spec
+        if val.suite is not meta.spec.suite:
+            raise CliError(
+                f"--val {args.val} holds {val.suite.value} images but"
+                f" --data {args.data} holds {meta.spec.suite.value} images"
+            )
+        m = val.encoder.frame_size
+        if m != frame:
+            raise CliError(
+                f"--val {args.val} holds {m}x{m} images but --data {args.data} holds"
+                f" {frame}x{frame} images"
+            )
     model = init_model(
         args.preset,
         class_count=meta.class_count,
-        frame_size=meta.spec.encoder.frame_size,
+        frame_size=frame,
         seed=args.seed,
         activation=args.activation,
         input_norm=args.input_norm,
@@ -224,6 +216,12 @@ def _cmd_eval(args) -> int:
         raise CliError(
             f"--model {args.model} has {model.meta.class_count} classes but"
             f" --data {args.data} has {ds.manifest.class_count}"
+        )
+    m, frame = model.meta.frame_size, ds.manifest.spec.encoder.frame_size
+    if m != frame:
+        raise CliError(
+            f"--model {args.model} takes {m}x{m} images but --data {args.data} holds"
+            f" {frame}x{frame} images"
         )
     acc = score(model, ds, args.out)
     if args.out:
@@ -334,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ex = subs.add_parser("experiment", help="run a reproducible experiment preset")
     ex.add_argument("preset", choices=list(PRESET_NAMES))
-    ex.add_argument("--scale", choices=["desk", "paper"], default="desk")
+    ex.add_argument("--scale", choices=SCALES, default="desk")
     ex.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     ex.add_argument("--out", help="output root (default $FUNCID_OUT or ./funcid_runs)")
     ex.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -345,29 +343,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_ERRORS = (
-    CliError,
-    SuiteError,
-    EncoderError,
-    DatasetError,
-    ModelError,
-    ExperimentError,
-    MetricsError,
-    ValueError,
-)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Every funcid configuration error is a ValueError, every runtime failure a RuntimeError.
     try:
         if getattr(args, "config", None):
             args = _apply_config(parser, argv, args)
         return args.fn(args)
-    except _CONFIG_ERRORS as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DatasetFormatError, CheckpointError, OSError, RuntimeError) as exc:
+    except (OSError, RuntimeError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
 

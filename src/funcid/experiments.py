@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import rng
+from . import nn, rng
 from .datasets import (
     Dataset,
     DatasetSpec,
@@ -92,6 +92,7 @@ _SCALE_DEFAULTS = {
         "per_class_test": 498,
     },
 }
+SCALES = tuple(_SCALE_DEFAULTS)
 
 
 def _fits(value, default) -> bool:
@@ -112,23 +113,25 @@ def _type_name(default) -> str:
 @dataclass(frozen=True)
 class ExperimentPreset:
     name: str
-    scale: str = "desk"  # "desk" | "paper"
+    scale: str = "desk"  # one of SCALES
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.name not in PRESETS:
             raise ExperimentError(f"unknown preset {self.name!r}; choose from {PRESET_NAMES}")
-        if self.scale not in _SCALE_DEFAULTS:
-            raise ExperimentError(f"scale must be 'desk' or 'paper', got {self.scale!r}")
+        if self.scale not in SCALES:
+            scales = " or ".join(map(repr, SCALES))
+            raise ExperimentError(f"scale must be {scales}, got {self.scale!r}")
         self.settings()
 
     def settings(self) -> dict:
         """The resolved settings.
 
-        An unknown or mistyped override, a training setting that TrainConfig
-        rejects, a uniform noise range that the noise would reject, or a
-        desk-scale setting beyond the desk caps raises ExperimentError, so a
-        run fails before it makes its directory or runs its first sweep point.
+        An unknown or mistyped override, a model that is not an ``nn.PRESETS``
+        name, a training setting that TrainConfig rejects, a uniform noise
+        range that the noise would reject, or a desk-scale setting beyond the
+        desk caps raises ExperimentError, so a run fails before it makes its
+        directory or runs its first sweep point.
         """
         row = PRESETS[self.name]
         base = {**_SCALE_DEFAULTS[self.scale], **row.defaults}
@@ -145,6 +148,8 @@ class ExperimentPreset:
                     f"override {key}={value!r} must be of type {_type_name(base[key])}"
                 )
         s = {**base, **self.overrides}
+        if s["model"] not in nn.PRESETS:
+            raise ExperimentError(f"override model={s['model']!r} is not one of {nn.PRESETS}")
         try:
             TrainConfig(learning_rate=s["lr"], epochs=s["epochs"], batch_size=s["batch_size"],
                         momentum=s["momentum"], optimizer=s["optimizer"])
@@ -220,10 +225,11 @@ def _run_cycle(
     return score(best, splits["test"], run.out_dir / f"breakdown_{tag}.csv")
 
 
-def _bbob_spec(
+def _spec(
     s: dict,
     dim: int,
     master_seed: int,
+    suite: Suite = Suite.CONTINUOUS_BBOB,
     image_type: ImageType = ImageType.TYPE1,
     sample_size: int = 24,
     regime: Regime = Regime.L1,
@@ -231,15 +237,13 @@ def _bbob_spec(
     unseen: int = 0,
     noise: NoiseSpec = NoiseSpec(),
 ) -> DatasetSpec:
+    # DiscreteL1 names no domain; bitstring sampling ignores it.
+    domain = DomainMap(s.get("domain", _UNIT_CUBE))
     return DatasetSpec(
-        suite=Suite.CONTINUOUS_BBOB,
+        suite=suite,
         dim=dim,
         encoder=EncoderConfig(
-            dim=dim,
-            sample_size=sample_size,
-            image_type=image_type,
-            frame_size=32,
-            domain_map=DomainMap(s["domain"]),
+            dim=dim, sample_size=sample_size, image_type=image_type, domain_map=domain
         ),
         regime=regime,
         per_class_train=s["per_class_train"],
@@ -254,13 +258,13 @@ def _bbob_spec(
 
 def _sweep(s: dict, run: _Run, swept: str, arg: str, letter: str, seed_tag: int) -> dict:
     """One L1 training cycle per value of the setting ``s[swept]``, passed as
-    ``_bbob_spec``'s ``arg``; writes the test accuracy curve.  Each value's
+    ``_spec``'s ``arg``; writes the test accuracy curve.  Each value's
     dataset and model seeds derive from ``seed_tag`` and ``seed_tag + 1``."""
     rows = []
     for v in s[swept]:
         # A dimension sweep has no "dim" setting: the swept value replaces it.
         shape = {"dim": s.get("dim"), arg: v}
-        spec = _bbob_spec(s, **shape, master_seed=rng.derive_seed(run.master_seed, seed_tag, v))
+        spec = _spec(s, **shape, master_seed=rng.derive_seed(run.master_seed, seed_tag, v))
         acc = _run_cycle(
             spec, s, run, f"{letter}{v:02d}", rng.derive_seed(run.master_seed, seed_tag + 1, v),
             save_checkpoint=False,
@@ -276,7 +280,7 @@ def _type_comparison(s: dict, run: _Run) -> dict:
     for t in (1, 2, 3, 4, 5):
         accs = []
         for r in range(s["runs"]):
-            spec = _bbob_spec(
+            spec = _spec(
                 s,
                 dim=s["dim"],
                 master_seed=rng.derive_seed(run.master_seed, 121, t, r),
@@ -293,7 +297,7 @@ def _type_comparison(s: dict, run: _Run) -> dict:
 
 
 def _multi_instance_l2(s: dict, run: _Run) -> dict:
-    spec = _bbob_spec(
+    spec = _spec(
         s, dim=s["dim"], master_seed=rng.derive_seed(run.master_seed, 131),
         regime=Regime.L2, instances=s["instances"],
     )
@@ -301,7 +305,7 @@ def _multi_instance_l2(s: dict, run: _Run) -> dict:
 
 
 def _unseen_l3(s: dict, run: _Run) -> dict:
-    spec = _bbob_spec(
+    spec = _spec(
         s, dim=s["dim"], master_seed=rng.derive_seed(run.master_seed, 141),
         regime=Regime.L3, instances=s["instances"], unseen=s["unseen_instances"],
     )
@@ -318,8 +322,8 @@ def _unseen_l3(s: dict, run: _Run) -> dict:
 
 def _gaussian_noise_l1(s: dict, run: _Run) -> dict:
     seed, model_seed = rng.derive_seed(run.master_seed, 151), rng.derive_seed(run.master_seed, 152)
-    clean_spec = _bbob_spec(s, dim=s["dim"], master_seed=seed)
-    noisy_spec = _bbob_spec(
+    clean_spec = _spec(s, dim=s["dim"], master_seed=seed)
+    noisy_spec = _spec(
         s, dim=s["dim"], master_seed=seed, noise=NoiseSpec(kind=NoiseKind.GAUSSIAN_HALF_MAX)
     )
     return {
@@ -329,15 +333,9 @@ def _gaussian_noise_l1(s: dict, run: _Run) -> dict:
 
 
 def _discrete_l1(s: dict, run: _Run) -> dict:
-    spec = DatasetSpec(
-        suite=Suite.DISCRETE_PB,
-        dim=s["dim"],
-        encoder=EncoderConfig(dim=s["dim"], sample_size=s["n"], frame_size=32),
-        regime=Regime.L1,
-        per_class_train=s["per_class_train"],
-        per_class_val=s["per_class_val"],
-        per_class_test=s["per_class_test"],
-        master_seed=rng.derive_seed(run.master_seed, 161),
+    spec = _spec(
+        s, dim=s["dim"], master_seed=rng.derive_seed(run.master_seed, 161),
+        suite=Suite.DISCRETE_PB, sample_size=s["n"],
     )
     model_seed = rng.derive_seed(run.master_seed, 162)
     return {"test_accuracy": _run_cycle(spec, s, run, "discrete", model_seed)}
@@ -415,12 +413,17 @@ def run_preset(
 
     The directory holds the stage CSVs/checkpoints, a ``results.json`` with
     headline numbers, and a ``run_manifest.json`` with the resolved settings
-    plus a digest of every artifact (the manifest itself excluded).
+    plus a digest of every artifact (the manifest itself excluded).  A run
+    that fails before it writes its first artifact leaves no directory.
     """
     settings = preset.settings()
     run_dir = _new_run_dir(Path(output_root) if output_root else default_output_root(), preset.name)
-    run = _Run(run_dir, master_seed)
-    results = PRESETS[preset.name].runner(settings, run)
+    try:
+        results = PRESETS[preset.name].runner(settings, _Run(run_dir, master_seed))
+    except BaseException:
+        if not any(run_dir.iterdir()):
+            run_dir.rmdir()
+        raise
 
     (run_dir / "results.json").write_text(
         json.dumps(results, indent=2, sort_keys=True), encoding="utf-8"

@@ -151,6 +151,31 @@ class TestExperiment:
         assert "uniform noise range [nan, 2.5] needs finite bounds" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("preset, item, message", [
+        ("MultiInstanceL2", "model=lenet",
+         "override model='lenet' is not one of ('perceptron1', 'perceptron3', 'lenet5')"),
+        ("UnseenL3", "domain=foo", "'foo' is not a valid DomainMap"),
+        ("BaseL1DimSweep", "dims=[1]", "continuous suite needs d >= 2, got 1"),
+        ("MultiInstanceL2", "instances=0", "need at least one instance per function"),
+        ("NSweep", "n_values=[40]", "N=40 sample rows do not fit in M=32 for Types 1-4"),
+    ], ids=["model", "domain", "dims", "instances", "n_values"])
+    def test_failing_override_leaves_no_run_dir(self, preset, item, message, tmp_path, capsys):
+        code = main(["experiment", preset, "--out", str(tmp_path), "--set", item])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_after_an_artifact_keeps_the_run_dir(self, tmp_path, capsys, monkeypatch):
+        def score(model, dataset, breakdown):
+            raise RuntimeError("scoring failed")
+
+        monkeypatch.setattr(funcid.experiments, "score", score)
+        assert main(["experiment", "UnseenL3", "--out", str(tmp_path), *TINY_L3]) == 1
+        assert capsys.readouterr().err == "runtime failure: scoring failed\n"
+        (run_dir,) = tmp_path.iterdir()
+        assert sorted(p.name for p in run_dir.iterdir()) == ["model_l3.lmdl",
+                                                             "train_report_l3.csv"]
+
     def test_paper_scale_sgd_takes_momentum(self):
         preset = ExperimentPreset("UnseenL3", scale="paper", overrides={"momentum": 0.9})
         assert (preset.settings()["optimizer"], preset.settings()["momentum"]) == ("sgd", 0.9)
@@ -278,6 +303,31 @@ class TestGenerateTrainEval:
         assert main(["train", "--data", str(tiny_data / "train.limg"),
                      "--val", str(val / "train.limg"), "--epochs", "1", "--out", str(model)]) == 0
         assert model.is_file()
+
+    def test_val_of_another_frame_size_exits_2(self, tiny_data, tmp_path, capsys):
+        data = tiny_data / "train.limg"
+        val = _generate(tmp_path / "m16", [*TINY_GEN, "--frame", "16", "--n", "8"]) / "test.limg"
+        model = tmp_path / "model.lmdl"
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--val", str(val), "--epochs", "1",
+                     "--out", str(model)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --val {val} holds 16x16 images but --data {data} holds 32x32 images\n"
+        )
+        assert not model.exists()
+
+    def test_model_of_another_frame_size_exits_2(self, tiny_data, tmp_path, capsys):
+        model, out = tmp_path / "model.lmdl", tmp_path / "breakdown.csv"
+        assert main(["train", "--data", str(tiny_data / "train.limg"), "--epochs", "1",
+                     "--out", str(model)]) == 0
+        data = _generate(tmp_path / "m16", [*TINY_GEN, "--frame", "16", "--n", "8"]) / "test.limg"
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--data", str(data), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: --model {model} takes 32x32 images but --data {data} holds 16x16 images\n"
+        )
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("discrete_model", [True, False], ids=["6-on-24", "24-on-6"])
     def test_model_of_another_class_count_exits_2(self, discrete_model, tiny_data, tmp_path,
