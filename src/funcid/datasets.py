@@ -38,7 +38,7 @@ import numpy as np
 
 from . import codec, rng
 from .encoder import EncoderConfig, construct_image
-from .suite import Suite, draw_rotations, list_functions, make_instance
+from .suite import Suite, check_dim, draw_rotations, list_functions, make_instance
 
 
 class Regime(enum.Enum):
@@ -105,6 +105,7 @@ class DatasetSpec:
             raise DatasetError("split sizes cannot be negative")
         if self.encoder.dim != self.dim:
             raise DatasetError(f"encoder dim {self.encoder.dim} != dataset dim {self.dim}")
+        check_dim(self.suite, self.dim)
         if self.regime is Regime.L1 and self.instances_per_function != 1:
             raise DatasetError("L1 uses exactly one instance per function")
         if self.instances_per_function < 1:
@@ -260,10 +261,11 @@ def build_dataset(spec: DatasetSpec) -> dict[str, Dataset]:
 
 
 def _fisher_yates(n: int, seed: int) -> np.ndarray:
+    """The permutation of one Fisher-Yates pass: position i, from n - 1 down
+    to 1, swaps with a draw from [0, i].  All draws come in one call."""
     g = rng.substream(seed, rng.SHUFFLE)
     idx = np.arange(n)
-    for i in range(n - 1, 0, -1):
-        j = int(g.integers(0, i + 1))
+    for i, j in zip(range(n - 1, 0, -1), g.integers(0, np.arange(n, 1, -1)).tolist()):
         idx[i], idx[j] = idx[j], idx[i]
     return idx
 

@@ -128,8 +128,9 @@ class ExperimentPreset:
         """The resolved settings.
 
         An unknown or mistyped override, a model that is not an ``nn.PRESETS``
-        name, a domain that is not a ``DomainMap`` value, a training setting
-        that TrainConfig rejects, a uniform noise range that the noise would
+        name, a domain that is not a ``DomainMap`` value, a sweep list that is
+        empty or repeats a value, fewer than one run, a training setting that
+        TrainConfig rejects, a uniform noise range that the noise would
         reject, a sweep point whose dataset spec ``_spec`` rejects, or a
         desk-scale setting beyond the desk caps raises ExperimentError, so a
         run fails before it makes its directory or runs its first sweep point.
@@ -153,6 +154,13 @@ class ExperimentPreset:
             raise ExperimentError(f"override model={s['model']!r} is not one of {nn.PRESETS}")
         if "domain" in s and s["domain"] not in _DOMAINS:
             raise ExperimentError(f"override domain={s['domain']!r} is not one of {_DOMAINS}")
+        for swept in _SWEPT_ARG.keys() & s.keys():
+            if not s[swept] or len(set(s[swept])) < len(s[swept]):
+                raise ExperimentError(
+                    f"override {swept}={s[swept]} must list one or more distinct values"
+                )
+        if s.get("runs", 1) < 1:
+            raise ExperimentError(f"override runs={s['runs']} must be at least 1")
         try:
             TrainConfig(learning_rate=s["lr"], epochs=s["epochs"], batch_size=s["batch_size"],
                         momentum=s["momentum"], optimizer=s["optimizer"])

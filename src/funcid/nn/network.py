@@ -10,9 +10,9 @@ training.
 Every parameter of a network lives in one contiguous vector,
 ``Network.vector``, in ``parameters()`` order: layer by layer, and within a
 layer by parameter name.  Each ``layer.params[name]`` is a reshaped view of
-its slice, ``Network.backward`` returns the gradient in the same layout, and
-the parameter section of an LMDL checkpoint is that vector in little-endian
-float32.
+its slice, ``Network.backward`` gathers the gradient in ``vector``'s layout
+in ``parameters()`` order, and the parameter section of an LMDL checkpoint
+is that vector in little-endian float32.
 """
 
 from __future__ import annotations
@@ -57,11 +57,8 @@ class Network:
         self.layers = layers
         params = self.parameters()
         self.vector = np.concatenate([p.reshape(-1) for _, _, p in params])
-        # Per layer, each parameter's slice of ``vector``.
-        self._slices: list[dict[str, slice]] = [{} for _ in layers]
         offset = 0
         for i, name, p in params:
-            self._slices[i][name] = slice(offset, offset + p.size)
             layers[i].params[name] = self.vector[offset : offset + p.size].reshape(p.shape)
             offset += p.size
 
@@ -106,23 +103,23 @@ class Network:
         return self.forward_normalized(self.apply_input_norm(batch))
 
     def backward(self, grad_logits: np.ndarray, caches: list) -> np.ndarray:
-        """The parameter gradient as one fresh vector laid out like ``vector``.
+        """The parameter gradient as one fresh vector laid out like ``vector``:
+        the layers' grads, kept as the descent passes them, gathered in
+        ``parameters()`` order.
 
-        Each layer's parameter grads are copied into their slices.  The
-        descent stops at the lowest layer with parameters, which skips its
+        The descent stops at the lowest layer with parameters, which skips its
         input gradient: no layer below it has anything to learn.
         """
-        flat = np.empty_like(self.vector)
+        grads: list[dict] = [{} for _ in self.layers]
         grad = grad_logits
         lowest = next(i for i, layer in enumerate(self.layers) if layer.params)
         for i in range(len(self.layers) - 1, lowest - 1, -1):
             if i == lowest:
-                _, layer_grads = self.layers[i].backward(grad, caches[i], need_dx=False)
+                _, grads[i] = self.layers[i].backward(grad, caches[i], need_dx=False)
             else:
-                grad, layer_grads = self.layers[i].backward(grad, caches[i])
-            for name, g in layer_grads.items():
-                np.copyto(flat[self._slices[i][name]].reshape(g.shape), g)
-        return flat
+                grad, grads[i] = self.layers[i].backward(grad, caches[i])
+        flat = [grads[i][name].reshape(-1) for i, name, _ in self.parameters()]
+        return np.concatenate(flat, dtype=self.vector.dtype)
 
 
 def _check_finite(x: np.ndarray) -> None:
@@ -266,6 +263,7 @@ def predict(model: Network, data) -> np.ndarray:
 
 _MAGIC = b"LMDL"
 _VERSION = 1
+_HEADER = struct.Struct("<4sHI")  # magic, version, descriptor length
 
 
 class CheckpointError(RuntimeError):
@@ -273,7 +271,8 @@ class CheckpointError(RuntimeError):
 
 
 def save_model(model: Network, path) -> None:
-    """Checkpoint: descriptor JSON + ``model.vector`` as little-endian float32 + digest.
+    """Checkpoint: ``_HEADER``, descriptor JSON, ``model.vector`` as
+    little-endian float32, then the SHA-256 of everything before it.
 
     The parameter section is the whole vector, so it lists every tensor in
     ``parameters()`` order.  The descriptor keeps the ``"pooling": "avg"``
@@ -285,27 +284,23 @@ def save_model(model: Network, path) -> None:
         "layers": [layer.spec() for layer in model.layers],
     }
     blob = json.dumps(descriptor, sort_keys=True).encode("utf-8")
-    body = bytearray()
-    body += _MAGIC
-    body += struct.pack("<HI", _VERSION, len(blob))
-    body += blob
-    body += model.vector.astype("<f4").tobytes()
-    body += hashlib.sha256(bytes(body)).digest()
+    body = _HEADER.pack(_MAGIC, _VERSION, len(blob)) + blob + model.vector.astype("<f4").tobytes()
     with open(path, "wb") as fh:
-        fh.write(bytes(body))
+        fh.write(body + hashlib.sha256(body).digest())
 
 
 def load_model(path) -> Network:
     with open(path, "rb") as fh:
         raw = fh.read()
-    if len(raw) < 10 + 32 or raw[:4] != _MAGIC:
+    if len(raw) < _HEADER.size + 32 or not raw.startswith(_MAGIC):
         raise CheckpointError(f"{path}: not a model checkpoint")
     if hashlib.sha256(raw[:-32]).digest() != raw[-32:]:
         raise CheckpointError(f"{path}: checkpoint digest mismatch")
-    version, blob_len = struct.unpack("<HI", raw[4:10])
+    _, version, blob_len = _HEADER.unpack_from(raw)
     if version != _VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    descriptor = codec.parse(raw[10 : 10 + blob_len], CheckpointError, path, "descriptor")
+    offset = _HEADER.size + blob_len
+    descriptor = codec.parse(raw[_HEADER.size : offset], CheckpointError, path, "descriptor")
     if descriptor.get("pooling") != "avg":
         raise CheckpointError(f"{path}: unsupported pooling {descriptor.get('pooling')!r}")
     meta = codec.decode(ModelMeta, descriptor, CheckpointError, path, "descriptor")
@@ -315,7 +310,7 @@ def load_model(path) -> Network:
         raise CheckpointError(f"{path}: {exc}") from exc
     if descriptor.get("layers") != [layer.spec() for layer in model.layers]:
         raise CheckpointError(f"{path}: stored layers do not match the {meta.preset} topology")
-    offset, size = 10 + blob_len, model.vector.size
+    size = model.vector.size
     if len(raw) - 32 - offset != 4 * size:
         raise CheckpointError(
             f"{path}: truncated or trailing parameter data:"

@@ -6,6 +6,7 @@ from .core import (
     Suite,
     SuiteError,
     bbob_class,
+    check_dim,
     evaluate,
     list_functions,
     make_instance,
@@ -19,6 +20,7 @@ __all__ = [
     "Suite",
     "SuiteError",
     "bbob_class",
+    "check_dim",
     "draw_rotations",
     "evaluate",
     "list_functions",

@@ -232,9 +232,10 @@ def _build_gallagher(p: dict, d: int, instance_seed: int, n_peaks: int) -> None:
 
     The draws from the instance's AUX stream come in this order, which the
     instance bytes depend on: one permutation of the n_peaks - 1 conditions,
-    then one ``permutation(d)`` per peak in peak order (peak i's scales are
-    ``cond_i ** linspace(-0.5, 0.5, d)`` reordered by it), then the
-    (n_peaks, d) peak uniforms.
+    then one ``permutation(d)`` per peak in peak order, taken as one
+    ``permuted`` call over the rows (peak i's scales are ``cond_i **
+    linspace(-0.5, 0.5, d)`` reordered by it), then the (n_peaks, d) peak
+    uniforms.
     """
     aux = rng.substream(instance_seed, rng.AUX)
     high_cond = math.sqrt(1000.0) if n_peaks == 101 else 1000.0
@@ -243,7 +244,7 @@ def _build_gallagher(p: dict, d: int, instance_seed: int, n_peaks: int) -> None:
     conditions = np.power(1000.0, np.linspace(0.0, 1.0, n_peaks - 1))
     conditions = np.concatenate(([high_cond], aux.permutation(conditions)))
     scales = np.power(conditions[:, None], np.linspace(-0.5, 0.5, d)[None, :])
-    order = np.stack([aux.permutation(d) for _ in range(n_peaks)])
+    order = aux.permuted(np.tile(np.arange(d), (n_peaks, 1)), axis=1)
     scales = np.take_along_axis(scales, order, axis=1)
 
     # Peaks are drawn in original coordinates (keeps the optimum inside the

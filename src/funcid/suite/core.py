@@ -51,6 +51,13 @@ def list_functions(suite: Suite) -> tuple[ProblemId, ...]:
     return tuple(problem(suite, k) for k in sorted(_table_for(suite)))
 
 
+def check_dim(suite: Suite, d: int) -> None:
+    """Raise SuiteError unless ``suite`` takes dimension d: the continuous suite
+    needs d >= 2.  ``make_instance`` checks each discrete function's limits."""
+    if suite is Suite.CONTINUOUS_BBOB and d < 2:
+        raise SuiteError(f"continuous suite needs d >= 2, got {d}")
+
+
 def bbob_class(index: int) -> str:
     """Structural class tag i..v of a continuous function."""
     return bbob.FUNCTIONS[index].group
@@ -111,8 +118,7 @@ def make_instance(
         _check_rotations(prob, d, rotations)
 
     if prob.suite is Suite.CONTINUOUS_BBOB:
-        if d < 2:
-            raise SuiteError(f"continuous suite needs d >= 2, got {d}")
+        check_dim(prob.suite, d)
         if rotations is None:
             key = (prob.index, instance_seed)
             rotations = bbob.draw_rotations([key], d)[key]

@@ -169,7 +169,16 @@ class TestExperiment:
     @pytest.mark.parametrize("preset, item, message", [
         ("BaseL1DimSweep", "dims=[2,4,40]", "d'=41 exceeds frame width M=32 for TYPE1"),
         ("NSweep", "n_values=[8,40]", "N=40 sample rows do not fit in M=32 for Types 1-4"),
-    ], ids=["dims", "n_values"])
+        ("BaseL1DimSweep", "dims=[2,4,1]", "continuous suite needs d >= 2, got 1"),
+        ("BaseL1DimSweep", "dims=[]", "override dims=[] must list one or more distinct values"),
+        ("NSweep", "n_values=[]", "override n_values=[] must list one or more distinct values"),
+        ("BaseL1DimSweep", "dims=[2,2]",
+         "override dims=[2, 2] must list one or more distinct values"),
+        ("NSweep", "n_values=[8,16,8]",
+         "override n_values=[8, 16, 8] must list one or more distinct values"),
+        ("TypeComparison", "runs=0", "override runs=0 must be at least 1"),
+    ], ids=["dims", "n_values", "dims-below-2", "dims-empty", "n_values-empty",
+            "dims-repeated", "n_values-repeated", "runs-0"])
     def test_bad_late_sweep_point_fails_before_the_first_build(
         self, preset, item, message, tmp_path, capsys, monkeypatch
     ):

@@ -31,7 +31,7 @@ from funcid.datasets import (
     shuffle_sync,
 )
 from funcid.encoder import EncoderConfig
-from funcid.suite import Suite
+from funcid.suite import Suite, SuiteError
 
 BBOB = Suite.CONTINUOUS_BBOB
 
@@ -94,6 +94,12 @@ class TestSpecValidation:
                 regime=Regime.L1,
                 per_class_train=1,
             )
+
+    def test_continuous_dim_below_2_rejected_discrete_passes(self):
+        # The suite's rule, checked when the spec is made, before any instance.
+        with pytest.raises(SuiteError, match="continuous suite needs d >= 2, got 1"):
+            small_spec(dim=1)
+        assert small_spec(dim=1, suite=Suite.DISCRETE_PB).dim == 1
 
     def test_paper_scale_split_arithmetic(self):
         # 24 classes at per-class (1001, 501, 498) give the full-scale
@@ -228,6 +234,18 @@ class TestShuffleSync:
         assert labels.tolist() == idx
         assert np.array_equal(pixels, _stack(3)[idx])
         assert seeds.tolist() == [[7, 8, 9][i] for i in idx]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 17, 960])
+    def test_fisher_yates_matches_one_draw_per_swap(self, n):
+        # The oracle takes one scalar draw per swap; the shuffle takes all its
+        # draws in one call, which must give the same indices.
+        g = rng.substream(5, rng.SHUFFLE)
+        idx = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = int(g.integers(0, i + 1))
+            idx[i], idx[j] = idx[j], idx[i]
+        _, labels = shuffle_sync(_stack(n), np.arange(n), 5)
+        assert labels.tolist() == idx
 
     def test_length_mismatch(self):
         with pytest.raises(DatasetError):
