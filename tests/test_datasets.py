@@ -21,6 +21,7 @@ from funcid.datasets import (
     NoiseKind,
     NoiseSpec,
     Regime,
+    _fisher_yates,
     add_gaussian_noise,
     add_uniform_noise,
     build_dataset,
@@ -30,8 +31,8 @@ from funcid.datasets import (
     save,
     shuffle_sync,
 )
-from funcid.encoder import EncoderConfig
-from funcid.suite import Suite, SuiteError
+from funcid.encoder import EncoderConfig, construct_image
+from funcid.suite import Suite, SuiteError, list_functions, make_instance
 
 BBOB = Suite.CONTINUOUS_BBOB
 
@@ -199,6 +200,58 @@ class TestBuildDataset:
         splits = build_dataset(spec)
         assert len(splits["train"]) == 3 * 6
         assert set(splits["train"].labels) == set(range(6))
+
+
+def _planned_images(spec: DatasetSpec) -> dict[str, list]:
+    """The reference plan: per split, one (problem, instance seed, sample seed)
+    per image, class-major in suite order.  Replicate ell of a class shows
+    pool[ell % len(pool)], where the pool is the class's training seeds, or
+    its unseen seeds on an L3 test split."""
+    train, unseen = instance_seed_table(spec)
+    plans = {}
+    for tag, (split, per_class) in enumerate(
+        (("train", spec.per_class_train), ("val", spec.per_class_val),
+         ("test", spec.per_class_test))
+    ):
+        table = unseen if spec.regime is Regime.L3 and split == "test" else train
+        plans[split] = [
+            (prob, table[prob.index][ell % len(table[prob.index])],
+             rng.derive_seed(spec.master_seed, rng.SAMPLES, tag, prob.index, ell))
+            for prob in list_functions(spec.suite)
+            for ell in range(per_class)
+        ]
+    return plans
+
+
+# Pools that divide the per-class count, that do not, and that exceed it.
+PLANNED_SPECS = {
+    "L1": small_spec(train=3, val=1, test=2),
+    "L2-uneven": small_spec(regime=Regime.L2, instances=3, train=7, val=2, test=4),
+    "L3-uneven": small_spec(regime=Regime.L3, instances=3, unseen=2, train=7, test=3),
+    "L3-short": small_spec(regime=Regime.L3, instances=4, unseen=3, train=2, val=5, test=1),
+    "L2-discrete": small_spec(regime=Regime.L2, instances=2, train=3, test=1, dim=4,
+                              suite=Suite.DISCRETE_PB),
+}
+
+
+@pytest.mark.parametrize("spec", PLANNED_SPECS.values(), ids=PLANNED_SPECS.keys())
+def test_each_image_is_its_planned_instance_and_sample_seed(spec):
+    splits = build_dataset(spec)
+    instances = {}
+    for tag, (split, plan) in enumerate(_planned_images(spec).items()):
+        ds = splits[split]
+        assert len(ds) == len(plan)
+        # Shuffled row i holds unshuffled row order[i].
+        order = _fisher_yates(len(plan), rng.derive_seed(spec.master_seed, rng.SHUFFLE, tag))
+        for i, j in enumerate(order.tolist()):
+            prob, instance_seed, sample_seed = plan[j]
+            key = (prob.index, instance_seed)
+            if key not in instances:
+                instances[key] = make_instance(prob, spec.dim, instance_seed)
+            image = construct_image(instances[key], spec.encoder, sample_seed).pixels
+            assert ds.labels[i] == prob.index - 1
+            assert ds.manifest.image_seeds[i] == instance_seed
+            assert ds.pixels[i].tobytes() == image.tobytes()
 
 
 # -- shuffling -------------------------------------------------------------------
