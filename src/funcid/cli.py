@@ -63,9 +63,12 @@ def _apply_config(parser: argparse.ArgumentParser, argv, args) -> argparse.Names
     path = Path(args.config)
     if not path.exists():
         raise CliError(f"config file not found: {path}")
-    config = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        config = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise CliError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
-        raise CliError("config file must hold a JSON object of flag values")
+        raise CliError(f"config file {path} must hold a JSON object of flag values")
     sub = args.sub
     flags = {a.dest: a for a in sub._actions if a.option_strings}
     del flags["help"], flags["config"]
@@ -89,7 +92,10 @@ def _cmd_funcs_dump(args) -> int:
     inst = make_instance(prob, args.dim, args.seed)
     if args.at is None:
         raise CliError("--at x1,x2,... is required")
-    x = np.array([float(v) for v in str(args.at).split(",")])
+    try:
+        x = np.array([float(v) for v in str(args.at).split(",")])
+    except ValueError as exc:
+        raise CliError(f"--at {args.at!r} is not a comma-separated point: {exc}") from None
     value = evaluate(inst, x)
     print(f"{prob.display_name} (k={prob.index}, d={args.dim}, seed={args.seed})")
     print(f"f({','.join(repr(float(v)) for v in x)}) = {value!r}")

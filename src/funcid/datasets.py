@@ -167,19 +167,16 @@ def instance_seed_table(spec: DatasetSpec) -> tuple[dict[int, list[int]], dict[i
     return train, unseen
 
 
-def _instance_for(spec, split: str, replicate: int, seeds: list[int], unseen: list[int]) -> int:
-    if spec.regime is Regime.L3 and split == "test":
-        return unseen[replicate % len(unseen)]
-    return seeds[replicate % len(seeds)]
-
-
 def build_dataset(spec: DatasetSpec) -> dict[str, Dataset]:
     """Generate the train/val/test datasets for ``spec``.
 
-    Per class and replicate the regime picks an instance seed; every image
-    draws fresh sample points from its own derived seed, so replicates of
-    one instance differ.  Splits are generated independently (class balance
-    is exact per split) and shuffled in lockstep with their labels.
+    A split holds n images per class.  Before its shuffle, replicate ell of
+    class c (suite order) is row c * n + ell and shows instance
+    ``pool[ell % len(pool)]``, where ``pool`` is the class's training seeds
+    (its unseen seeds on an L3 test split) cut to the first n.  Every image
+    draws its sample points from its own derived seed, so replicates of one
+    instance differ.  Splits are generated independently (class balance is
+    exact per split) and shuffled in lockstep with their labels.
     """
     train_seeds, unseen_seeds = instance_seed_table(spec)
     if spec.regime is Regime.L3:
@@ -189,48 +186,41 @@ def build_dataset(spec: DatasetSpec) -> dict[str, Dataset]:
         if overlap:
             raise DatasetError(f"unseen instance seeds collide with training seeds: {overlap}")
 
-    counts = {
-        "train": spec.per_class_train,
-        "val": spec.per_class_val,
-        "test": spec.per_class_test,
-    }
-    # Per split, one (problem, instance seed, sample seed) task per image.
-    plans = {
-        split: [
-            (
-                prob,
-                _instance_for(spec, split, ell, train_seeds[prob.index], unseen_seeds[prob.index]),
-                rng.derive_seed(spec.master_seed, rng.SAMPLES, _SPLIT_TAGS[split], prob.index, ell),
-            )
-            for prob in list_functions(spec.suite)
-            for ell in range(per_class)
-        ]
-        for split, per_class in counts.items()
-    }
-    problems = {(prob.index, seed): prob for plan in plans.values() for prob, seed, _ in plan}
-    # Every rotation of the build is orthonormalized in one stack.
-    rotations = (
-        draw_rotations(problems, spec.dim) if spec.suite is Suite.CONTINUOUS_BBOB else {}
+    counts = dict(train=spec.per_class_train, val=spec.per_class_val, test=spec.per_class_test)
+    probs = list_functions(spec.suite)
+    pools = {split: [train_seeds[p.index][:n] for p in probs] for split, n in counts.items()}
+    if spec.regime is Regime.L3:
+        pools["test"] = [unseen_seeds[p.index][: counts["test"]] for p in probs]
+    keys = dict.fromkeys(
+        (p.index, seed)
+        for split_pools in pools.values()
+        for p, pool in zip(probs, split_pools)
+        for seed in pool
     )
+    # Every rotation of the build is orthonormalized in one stack.
+    rotations = draw_rotations(keys, spec.dim) if spec.suite is Suite.CONTINUOUS_BBOB else {}
     instances = {
-        key: make_instance(prob, spec.dim, key[1], rotations.get(key))
-        for key, prob in problems.items()
+        (k, seed): make_instance(probs[k - 1], spec.dim, seed, rotations.get((k, seed)))
+        for k, seed in keys
     }
 
     m = spec.encoder.frame_size
     out: dict[str, Dataset] = {}
-    for split, plan in plans.items():
+    for split, n in counts.items():
         tag = _SPLIT_TAGS[split]
-        # One construct_image call per instance builds all of its images.
-        positions: dict[tuple[int, int], list[int]] = {}
-        for i, (prob, inst_seed, _) in enumerate(plan):
-            positions.setdefault((prob.index, inst_seed), []).append(i)
-        pixels = np.empty((len(plan), m, m), dtype=np.float32)
-        for key, where in positions.items():
-            seeds = [plan[i][2] for i in where]
-            pixels[where] = construct_image(instances[key], spec.encoder, seeds).pixels
-        labels = np.array([prob.index - 1 for prob, _, _ in plan], dtype=np.int64)
-        image_seeds = np.array([inst_seed for _, inst_seed, _ in plan], dtype=np.int64)
+        pixels = np.empty((len(probs) * n, m, m), dtype=np.float32)
+        image_seeds = np.empty(len(probs) * n, dtype=np.int64)
+        # Instance r of class c's pool fills rows c * n + r, c * n + r + len(pool), ...
+        for c, (prob, pool) in enumerate(zip(probs, pools[split])):
+            for r, seed in enumerate(pool):
+                rows = slice(c * n + r, (c + 1) * n, len(pool))
+                sample_seeds = [
+                    rng.derive_seed(spec.master_seed, rng.SAMPLES, tag, prob.index, ell)
+                    for ell in range(r, n, len(pool))
+                ]
+                image = construct_image(instances[prob.index, seed], spec.encoder, sample_seeds)
+                pixels[rows], image_seeds[rows] = image.pixels, seed
+        labels = np.repeat(np.arange(len(probs), dtype=np.int64), n)
 
         pixels, labels, image_seeds = shuffle_sync(
             pixels, labels, rng.derive_seed(spec.master_seed, rng.SHUFFLE, tag), image_seeds

@@ -52,10 +52,14 @@ def list_functions(suite: Suite) -> tuple[ProblemId, ...]:
 
 
 def check_dim(suite: Suite, d: int) -> None:
-    """Raise SuiteError unless ``suite`` takes dimension d: the continuous suite
-    needs d >= 2.  ``make_instance`` checks each discrete function's limits."""
+    """Raise SuiteError unless every function of ``suite`` takes dimension d:
+    the continuous suite needs d >= 2, and each discrete function has its own
+    limits, which ``make_instance`` checks for that function alone."""
     if suite is Suite.CONTINUOUS_BBOB and d < 2:
         raise SuiteError(f"continuous suite needs d >= 2, got {d}")
+    if suite is Suite.DISCRETE_PB:
+        for k in discrete.FUNCTIONS:
+            _validate_discrete_dim(k, d)
 
 
 def bbob_class(index: int) -> str:
@@ -125,11 +129,15 @@ def make_instance(
         params = bbob.build_params(prob.index, d, instance_seed, rotations)
         return FunctionInstance(prob, d, instance_seed, params)
 
+    _validate_discrete_dim(prob.index, d)
+    return FunctionInstance(prob, d, instance_seed, {})
+
+
+def _validate_discrete_dim(k: int, d: int) -> None:
     try:
-        discrete.validate_dim(prob.index, d)
+        discrete.validate_dim(k, d)
     except ValueError as exc:
         raise SuiteError(str(exc)) from None
-    return FunctionInstance(prob, d, instance_seed, {})
 
 
 def _check_rotations(prob: ProblemId, d: int, rotations) -> None:

@@ -61,6 +61,20 @@ class TestFuncsDump:
         assert main(["funcs", "dump", "--k", "1", "--dim", "2"]) == 2
         assert "--at" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("at, bad", [("a,b", "a"), ("0.5,,0.5", ""), ("0.5;0.5", "0.5;0.5")])
+    def test_unparsable_point_names_the_flag(self, at, bad, capsys):
+        assert main(["funcs", "dump", "--k", "1", "--dim", "2", "--at", at]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (f"error: --at {at!r} is not a comma-separated point:"
+                        f" could not convert string to float: {bad!r}")
+
+    def test_discrete_function_takes_a_length_its_suite_does_not(self, capsys):
+        # d=22 is no square lattice for IsingTriangular, but OneMax takes it.
+        at = ",".join("1" * 22)
+        assert main(["funcs", "dump", "--suite", "discrete", "--k", "1", "--dim", "22",
+                     "--at", at]) == 0
+        assert "f_offset = 0.0" in capsys.readouterr().out
+
 
 class TestFuncsList:
     def test_lists_suite_in_order(self, capsys):
@@ -391,19 +405,23 @@ class TestGenerateTrainEval:
 
     @pytest.mark.parametrize("command", [["generate"], ["train"], ["eval"],
                                          ["experiment", "UnseenL3"]])
-    @pytest.mark.parametrize("config, message", [
-        (None, "config file not found"),
-        ("[1, 2]", "must hold a JSON object"),
-        ("{not json", "Expecting property name"),
-        ('{"per-class": 3, "bogus": 1}', "unknown config key(s) ['bogus', 'per-class']"),
+    @pytest.mark.parametrize("config, message, names_file", [
+        (None, "config file not found", True),
+        ("[1, 2]", "must hold a JSON object", True),
+        ("{not json", "Expecting property name", True),
+        ("", "is not valid JSON: Expecting value", True),
+        ('{"per-class": 3, "bogus": 1}', "unknown config key(s) ['bogus', 'per-class']", False),
     ])
-    def test_bad_config_exits_2(self, command, config, message, tmp_path, capsys, monkeypatch):
+    def test_bad_config_exits_2(self, command, config, message, names_file, tmp_path, capsys,
+                                monkeypatch):
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "config.json"
         if config is not None:
             path.write_text(config, encoding="utf-8")
         assert main([*command, "--config", str(path)]) == 2
-        assert message in capsys.readouterr().err
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and message in line
+        assert (str(path) in line) == names_file
         assert list(tmp_path.iterdir()) == ([path] if config is not None else [])
 
     @pytest.mark.parametrize("command, config, message", [
@@ -435,6 +453,17 @@ class TestGenerateTrainEval:
         assert main(["generate", *TINY_GEN, "--noise", "uniform_range", *bounds,
                      "--out", str(out)]) == 2
         assert f"uniform noise range {message} needs finite bounds" in capsys.readouterr().err
+        assert built == [] and list(tmp_path.iterdir()) == []
+
+    def test_discrete_dim_no_function_takes_exits_2_before_building(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        built = []
+        monkeypatch.setattr(funcid.cli, "make_instance", lambda *a: built.append(a))
+        monkeypatch.setattr(funcid.datasets, "make_instance", lambda *a: built.append(a))
+        out = tmp_path / "pb22"
+        assert main(["generate", "--suite", "discrete", "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error: IsingTriangular needs a square lattice; d=22 is not a perfect square"
         assert built == [] and list(tmp_path.iterdir()) == []
 
     def test_report_holds_one_row_per_epoch(self, tiny_data, tmp_path, capsys):

@@ -32,7 +32,7 @@ from funcid.datasets import (
     shuffle_sync,
 )
 from funcid.encoder import EncoderConfig, construct_image
-from funcid.suite import Suite, SuiteError, list_functions, make_instance
+from funcid.suite import Suite, SuiteError, check_dim, list_functions, make_instance
 
 BBOB = Suite.CONTINUOUS_BBOB
 
@@ -52,6 +52,12 @@ def small_spec(regime=Regime.L1, train=4, val=0, test=2, instances=1, unseen=0, 
         master_seed=seed,
         noise=noise,
     )
+
+
+def _discrete_spec(dim: int) -> DatasetSpec:
+    """An L1 discrete spec whose default frame fits d up to 22."""
+    return DatasetSpec(suite=Suite.DISCRETE_PB, dim=dim, regime=Regime.L1,
+                       encoder=EncoderConfig(dim=dim, sample_size=4), per_class_train=1)
 
 
 # -- spec validation -----------------------------------------------------------
@@ -101,6 +107,24 @@ class TestSpecValidation:
         with pytest.raises(SuiteError, match="continuous suite needs d >= 2, got 1"):
             small_spec(dim=1)
         assert small_spec(dim=1, suite=Suite.DISCRETE_PB).dim == 1
+
+    def test_discrete_dim_must_suit_every_function(self):
+        # Checked when the spec is made, before any instance: IsingTriangular
+        # needs a square lattice, which the other five functions do not.
+        with pytest.raises(SuiteError) as info:
+            _discrete_spec(22)
+        assert str(info.value) == (
+            "IsingTriangular needs a square lattice; d=22 is not a perfect square"
+        )
+
+    @pytest.mark.parametrize("dim", [1, 4, 9, 16])
+    def test_discrete_square_dims_pass(self, dim):
+        assert _discrete_spec(dim).dim == dim
+
+    @pytest.mark.parametrize("dim", [0, 65])
+    def test_discrete_dim_outside_bitstring_range(self, dim):
+        with pytest.raises(SuiteError, match=f"bitstring length {dim} outside"):
+            check_dim(Suite.DISCRETE_PB, dim)
 
     def test_paper_scale_split_arithmetic(self):
         # 24 classes at per-class (1001, 501, 498) give the full-scale
