@@ -65,7 +65,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv, args) -> argparse.Names
         raise CliError(f"config file not found: {path}")
     try:
         config = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise CliError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise CliError(f"config file {path} must hold a JSON object of flag values")

@@ -410,6 +410,7 @@ class TestGenerateTrainEval:
         ("[1, 2]", "must hold a JSON object", True),
         ("{not json", "Expecting property name", True),
         ("", "is not valid JSON: Expecting value", True),
+        ('{"dim": "\xe9"}', "is not valid JSON: 'utf-8' codec can't decode byte 0xe9", True),
         ('{"per-class": 3, "bogus": 1}', "unknown config key(s) ['bogus', 'per-class']", False),
     ])
     def test_bad_config_exits_2(self, command, config, message, names_file, tmp_path, capsys,
@@ -417,7 +418,8 @@ class TestGenerateTrainEval:
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "config.json"
         if config is not None:
-            path.write_text(config, encoding="utf-8")
+            # Latin-1, so that a non-ASCII character is a byte UTF-8 cannot decode.
+            path.write_bytes(config.encode("latin-1"))
         assert main([*command, "--config", str(path)]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ") and message in line
@@ -458,7 +460,6 @@ class TestGenerateTrainEval:
     def test_discrete_dim_no_function_takes_exits_2_before_building(self, tmp_path, capsys,
                                                                     monkeypatch):
         built = []
-        monkeypatch.setattr(funcid.cli, "make_instance", lambda *a: built.append(a))
         monkeypatch.setattr(funcid.datasets, "make_instance", lambda *a: built.append(a))
         out = tmp_path / "pb22"
         assert main(["generate", "--suite", "discrete", "--out", str(out)]) == 2

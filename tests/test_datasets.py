@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funcid import codec, rng
+from funcid import codec, datasets, rng
 from funcid.datasets import (
     Dataset,
     DatasetError,
@@ -259,10 +259,21 @@ PLANNED_SPECS = {
 
 
 @pytest.mark.parametrize("spec", PLANNED_SPECS.values(), ids=PLANNED_SPECS.keys())
-def test_each_image_is_its_planned_instance_and_sample_seed(spec):
+def test_each_image_is_its_planned_instance_and_sample_seed(spec, monkeypatch):
+    built, batches = [], []
+    monkeypatch.setattr(datasets, "make_instance", lambda prob, d, seed, rotations: (
+        built.append((prob.index, seed)) or make_instance(prob, d, seed, rotations)))
+    monkeypatch.setattr(datasets, "construct_image", lambda instance, cfg, seeds: (
+        batches.append(len(seeds)) or construct_image(instance, cfg, seeds)))
     splits = build_dataset(spec)
+    plans = _planned_images(spec)
+    # One instance per distinct planned (function, seed), one batch per
+    # (instance, split), and no empty batch.
+    keys = [{(prob.index, seed) for prob, seed, _ in plan} for plan in plans.values()]
+    assert sorted(built) == sorted(set().union(*keys))
+    assert len(batches) == sum(map(len, keys)) and min(batches, default=1) > 0
     instances = {}
-    for tag, (split, plan) in enumerate(_planned_images(spec).items()):
+    for tag, (split, plan) in enumerate(plans.items()):
         ds = splits[split]
         assert len(ds) == len(plan)
         # Shuffled row i holds unshuffled row order[i].
