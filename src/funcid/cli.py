@@ -164,6 +164,14 @@ def _cmd_generate(args) -> int:
 def _cmd_train(args) -> int:
     if not args.data:
         raise CliError("--data is required")
+    cfg = TrainConfig(
+        learning_rate=args.lr,
+        epochs=args.epochs,
+        batch_size=args.batch_size,
+        seed=rng.derive_seed(args.seed, rng.BATCH_ORDER),
+        momentum=args.momentum,
+        optimizer=args.optimizer,
+    )
     train_ds = load(args.data)
     val_ds = load(args.val) if args.val else None
     meta = train_ds.manifest
@@ -188,14 +196,6 @@ def _cmd_train(args) -> int:
         seed=args.seed,
         activation=args.activation,
         input_norm=args.input_norm,
-    )
-    cfg = TrainConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=rng.derive_seed(args.seed, rng.BATCH_ORDER),
-        momentum=args.momentum,
-        optimizer=args.optimizer,
     )
     best, report = train(model, train_ds, val_ds, cfg)
     save_model(best, args.out)

@@ -154,21 +154,19 @@ class ExperimentPreset:
             raise ExperimentError(f"override model={s['model']!r} is not one of {nn.PRESETS}")
         if "domain" in s and s["domain"] not in _DOMAINS:
             raise ExperimentError(f"override domain={s['domain']!r} is not one of {_DOMAINS}")
-        for swept in _SWEPT_ARG.keys() & s.keys():
-            if not s[swept] or len(set(s[swept])) < len(s[swept]):
-                raise ExperimentError(
-                    f"override {swept}={s[swept]} must list one or more distinct values"
-                )
         if s.get("runs", 1) < 1:
             raise ExperimentError(f"override runs={s['runs']} must be at least 1")
         try:
-            TrainConfig(learning_rate=s["lr"], epochs=s["epochs"], batch_size=s["batch_size"],
-                        momentum=s["momentum"], optimizer=s["optimizer"])
+            for swept in _SWEPT.keys() & s.keys():
+                if not s[swept] or len(set(s[swept])) < len(s[swept]):
+                    raise ValueError(
+                        f"override {swept}={s[swept]} must list one or more distinct values"
+                    )
+                for v in s[swept]:
+                    _spec({**s, _SWEPT[swept]: v}, row.suite, master_seed=0)
+            _train_config(s, seed=0)
             if "uniform_lo" in s:
                 check_uniform_range(s["uniform_lo"], s["uniform_hi"])
-            for swept in _SWEPT_ARG.keys() & s.keys():
-                for v in s[swept]:
-                    _sweep_spec(s, swept, v, master_seed=0)
         except ValueError as exc:
             raise ExperimentError(str(exc)) from None
         if self.scale == "desk":
@@ -192,6 +190,12 @@ class _Run:
 
     out_dir: Path
     master_seed: int
+    suite: Suite  # the preset row's suite
+
+
+def _train_config(s: dict, seed: int) -> TrainConfig:
+    return TrainConfig(learning_rate=s["lr"], epochs=s["epochs"], batch_size=s["batch_size"],
+                       seed=seed, momentum=s["momentum"], optimizer=s["optimizer"])
 
 
 def _train_stage(
@@ -205,14 +209,7 @@ def _train_stage(
         frame_size=spec.encoder.frame_size,
         seed=model_seed,
     )
-    cfg = TrainConfig(
-        learning_rate=s["lr"],
-        epochs=s["epochs"],
-        batch_size=s["batch_size"],
-        seed=rng.derive_seed(spec.master_seed, rng.BATCH_ORDER, 0),
-        momentum=s["momentum"],
-        optimizer=s["optimizer"],
-    )
+    cfg = _train_config(s, seed=rng.derive_seed(spec.master_seed, rng.BATCH_ORDER, 0))
     val = splits["val"] if len(splits["val"]) else None
     best, report = train(model, splits["train"], val, cfg)
     report.to_csv(run.out_dir / f"train_report_{tag}.csv")
@@ -241,43 +238,40 @@ def _run_cycle(
 
 def _spec(
     s: dict,
-    dim: int,
+    suite: Suite,
     master_seed: int,
-    suite: Suite = Suite.CONTINUOUS_BBOB,
     image_type: ImageType = ImageType.TYPE1,
-    sample_size: int = 24,
     regime: Regime = Regime.L1,
-    instances: int = 1,
-    unseen: int = 0,
     noise: NoiseSpec = NoiseSpec(),
 ) -> DatasetSpec:
-    # DiscreteL1 names no domain; bitstring sampling ignores it.
+    """The dataset spec that the settings ``s`` describe.
+
+    ``s`` gives the dimension ``dim``, the sample size ``n`` (24 if unset),
+    ``instances`` and ``unseen_instances`` per function (1 and 0 if unset),
+    the ``domain`` (the unit cube if unset; bitstring sampling ignores it) and
+    the ``per_class_train``/``per_class_val``/``per_class_test`` split sizes.
+    """
+    dim = s["dim"]
     domain = DomainMap(s.get("domain", _UNIT_CUBE))
     return DatasetSpec(
         suite=suite,
         dim=dim,
         encoder=EncoderConfig(
-            dim=dim, sample_size=sample_size, image_type=image_type, domain_map=domain
+            dim=dim, sample_size=s.get("n", 24), image_type=image_type, domain_map=domain
         ),
         regime=regime,
         per_class_train=s["per_class_train"],
         per_class_val=s["per_class_val"],
         per_class_test=s["per_class_test"],
-        instances_per_function=instances,
-        unseen_instances_per_function=unseen,
+        instances_per_function=s.get("instances", 1),
+        unseen_instances_per_function=s.get("unseen_instances", 0),
         master_seed=master_seed,
         noise=noise,
     )
 
 
-# The ``_spec`` argument that each value of a swept setting is passed as.
-_SWEPT_ARG = {"dims": "dim", "n_values": "sample_size"}
-
-
-def _sweep_spec(s: dict, swept: str, v: int, master_seed: int) -> DatasetSpec:
-    """The L1 spec of the sweep point where ``s[swept]`` takes the value v."""
-    # A dimension sweep has no "dim" setting: the swept value replaces it.
-    return _spec(s, **{"dim": s.get("dim"), _SWEPT_ARG[swept]: v}, master_seed=master_seed)
+# The setting that each value of a swept list fills in at its sweep point.
+_SWEPT = {"dims": "dim", "n_values": "n"}
 
 
 def _sweep(s: dict, run: _Run, swept: str, letter: str, seed_tag: int) -> dict:
@@ -286,7 +280,8 @@ def _sweep(s: dict, run: _Run, swept: str, letter: str, seed_tag: int) -> dict:
     ``seed_tag`` and ``seed_tag + 1``."""
     rows = []
     for v in s[swept]:
-        spec = _sweep_spec(s, swept, v, rng.derive_seed(run.master_seed, seed_tag, v))
+        point = {**s, _SWEPT[swept]: v}
+        spec = _spec(point, run.suite, rng.derive_seed(run.master_seed, seed_tag, v))
         acc = _run_cycle(
             spec, s, run, f"{letter}{v:02d}", rng.derive_seed(run.master_seed, seed_tag + 1, v),
             save_checkpoint=False,
@@ -303,10 +298,7 @@ def _type_comparison(s: dict, run: _Run) -> dict:
         accs = []
         for r in range(s["runs"]):
             spec = _spec(
-                s,
-                dim=s["dim"],
-                master_seed=rng.derive_seed(run.master_seed, 121, t, r),
-                image_type=ImageType(t),
+                s, run.suite, rng.derive_seed(run.master_seed, 121, t, r), image_type=ImageType(t)
             )
             accs.append(_run_cycle(
                 spec, s, run, f"type{t}_run{r}", rng.derive_seed(run.master_seed, 122, t, r),
@@ -318,19 +310,16 @@ def _type_comparison(s: dict, run: _Run) -> dict:
     return {"per_type": per_type}
 
 
-def _multi_instance_l2(s: dict, run: _Run) -> dict:
-    spec = _spec(
-        s, dim=s["dim"], master_seed=rng.derive_seed(run.master_seed, 131),
-        regime=Regime.L2, instances=s["instances"],
-    )
-    return {"test_accuracy": _run_cycle(spec, s, run, "l2", rng.derive_seed(run.master_seed, 132))}
+def _one_cycle(s: dict, run: _Run, tag: str, seed_tag: int, **variant) -> dict:
+    """One training cycle on the spec of ``s`` and ``variant``; the dataset and
+    model seeds derive from ``seed_tag`` and ``seed_tag + 1``."""
+    spec = _spec(s, run.suite, rng.derive_seed(run.master_seed, seed_tag), **variant)
+    model_seed = rng.derive_seed(run.master_seed, seed_tag + 1)
+    return {"test_accuracy": _run_cycle(spec, s, run, tag, model_seed)}
 
 
 def _unseen_l3(s: dict, run: _Run) -> dict:
-    spec = _spec(
-        s, dim=s["dim"], master_seed=rng.derive_seed(run.master_seed, 141),
-        regime=Regime.L3, instances=s["instances"], unseen=s["unseen_instances"],
-    )
+    spec = _spec(s, run.suite, rng.derive_seed(run.master_seed, 141), regime=Regime.L3)
     best, splits = _train_stage(spec, s, run, "l3", rng.derive_seed(run.master_seed, 142))
     out = {"clean_accuracy": score(best, splits["test"], run.out_dir / "breakdown_l3_clean.csv")}
     if "uniform_lo" in s:  # UnseenL3Noisy: also score the test split under uniform noise
@@ -344,23 +333,12 @@ def _unseen_l3(s: dict, run: _Run) -> dict:
 
 def _gaussian_noise_l1(s: dict, run: _Run) -> dict:
     seed, model_seed = rng.derive_seed(run.master_seed, 151), rng.derive_seed(run.master_seed, 152)
-    clean_spec = _spec(s, dim=s["dim"], master_seed=seed)
-    noisy_spec = _spec(
-        s, dim=s["dim"], master_seed=seed, noise=NoiseSpec(kind=NoiseKind.GAUSSIAN_HALF_MAX)
-    )
+    clean_spec = _spec(s, run.suite, seed)
+    noisy_spec = _spec(s, run.suite, seed, noise=NoiseSpec(kind=NoiseKind.GAUSSIAN_HALF_MAX))
     return {
         "clean_accuracy": _run_cycle(clean_spec, s, run, "clean", model_seed),
         "noisy_accuracy": _run_cycle(noisy_spec, s, run, "noisy", model_seed),
     }
-
-
-def _discrete_l1(s: dict, run: _Run) -> dict:
-    spec = _spec(
-        s, dim=s["dim"], master_seed=rng.derive_seed(run.master_seed, 161),
-        suite=Suite.DISCRETE_PB, sample_size=s["n"],
-    )
-    model_seed = rng.derive_seed(run.master_seed, 162)
-    return {"test_accuracy": _run_cycle(spec, s, run, "discrete", model_seed)}
 
 
 class _Preset(NamedTuple):
@@ -397,7 +375,8 @@ PRESETS = {
         {"epochs": 100, "per_class_train": 50, "per_class_test": 15},
     ),
     "MultiInstanceL2": _Preset(
-        _multi_instance_l2, {"dim": 22, "instances": 5, "domain": _UNIT_CUBE},
+        functools.partial(_one_cycle, tag="l2", seed_tag=131, regime=Regime.L2),
+        {"dim": 22, "instances": 5, "domain": _UNIT_CUBE},
         {"per_class_train": 500, "per_class_test": 100},
     ),
     "UnseenL3": _Preset(_unseen_l3, _L3, _L3_DESK),
@@ -405,7 +384,10 @@ PRESETS = {
         _unseen_l3, {**_L3, "uniform_lo": -2.5, "uniform_hi": 2.5}, _L3_DESK
     ),
     "GaussianNoiseL1": _Preset(_gaussian_noise_l1, {"dim": 22, "domain": _UNIT_CUBE}, {}),
-    "DiscreteL1": _Preset(_discrete_l1, {"dim": 16, "n": 24}, {}, Suite.DISCRETE_PB),
+    "DiscreteL1": _Preset(
+        functools.partial(_one_cycle, tag="discrete", seed_tag=161),
+        {"dim": 16, "n": 24}, {}, Suite.DISCRETE_PB,
+    ),
 }
 PRESET_NAMES = tuple(PRESETS)
 
@@ -440,9 +422,10 @@ def run_preset(
     that fails before it writes its first artifact leaves no directory.
     """
     settings = preset.settings()
+    row = PRESETS[preset.name]
     run_dir = _new_run_dir(Path(output_root) if output_root else default_output_root(), preset.name)
     try:
-        results = PRESETS[preset.name].runner(settings, _Run(run_dir, master_seed))
+        results = row.runner(settings, _Run(run_dir, master_seed, row.suite))
     except BaseException:
         if not any(run_dir.iterdir()):
             run_dir.rmdir()

@@ -35,7 +35,7 @@ that order is pinned; only the data movement around it may change:
   ``flat_cols.T @ flat_gy`` over all B*L rows, and ``db`` is the column sum
   of ``flat_gy``: pairwise when its rows axis is contiguous (B = 1, or one
   channel), row by row otherwise;
-* the input gradient's products are the per-sample ``W_mat.T @ gy[b]``,
+* the input gradient's products are the per-sample ``W_mat @ gy[b]``,
   (C*k*k, channels) @ (channels, L), on a C-contiguous (B, channels, L)
   ``gy``, in one batched matmul.  One 2-D product over all L*B columns is
   not equivalent: the BLAS picks its kernel and its edge handling by shape,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,8 @@ class TrainConfig:
     optimizer: str = "sgd"  # "sgd" | "adam"
 
     def __post_init__(self):
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning rate must be finite, got {self.learning_rate}")
         if self.learning_rate < 0.0:
             raise ValueError("learning rate must be >= 0")
         if self.batch_size < 1 or self.epochs < 1:

@@ -8,6 +8,14 @@ matter how generation work is ordered or which BLAS kernel runs
 (``suite.bbob`` sums in numpy's own order; the discrete sums are exact).
 Training bytes (float32 GEMMs, and so LMDL files, ``results.json`` and the
 benchmark's training pins) still depend on the kernel.
+
+numpy's SIMD dispatch is not covered.  A BBOB instance's float64 ``params``
+depend on it: ``suite.bbob.build_params`` makes its power tables with array
+``np.power``, whose AVX-512 loop rounds some elements unlike the baseline
+loop.  With ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` 17
+functions' pinned ``params`` digests change, while every pixel and dataset
+digest holds: the float32 pixels hide the difference by luck, not by
+contract.
 """
 
 from __future__ import annotations

@@ -158,6 +158,12 @@ class TestExperiment:
         assert "momentum 0.9 needs optimizer 'sgd'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_non_finite_learning_rate_exits_2_without_a_run_dir(self, tmp_path, capsys):
+        code = main(["experiment", "UnseenL3Noisy", "--out", str(tmp_path), "--set", "lr=NaN"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: learning rate must be finite, got nan\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_finite_noise_range_exits_2_without_a_run_dir(self, tmp_path, capsys):
         code = main(["experiment", "UnseenL3Noisy", "--out", str(tmp_path),
                      "--set", "uniform_lo=NaN"])
@@ -481,14 +487,22 @@ class TestGenerateTrainEval:
 
     @pytest.mark.parametrize("flags, message", [
         (["--lr", "-0.5"], "learning rate must be >= 0"),
+        (["--lr", "nan"], "learning rate must be finite, got nan"),
+        (["--lr", "inf"], "learning rate must be finite, got inf"),
         (["--batch-size", "0"], "batch_size and epochs must be >= 1"),
         (["--epochs", "0"], "batch_size and epochs must be >= 1"),
-    ], ids=["negative-lr", "batch-size-0", "epochs-0"])
-    def test_train_config_rejection_exits_2(self, flags, message, tiny_data, tmp_path, capsys):
+    ], ids=["negative-lr", "nan-lr", "inf-lr", "batch-size-0", "epochs-0"])
+    def test_train_config_rejection_exits_2(
+        self, flags, message, tiny_data, tmp_path, capsys, monkeypatch
+    ):
+        # The training settings are checked before any split is loaded.
+        loads = []
+        monkeypatch.setattr(funcid.cli, "load", loads.append)
         model = tmp_path / "model.lmdl"
         assert main(["train", "--data", str(tiny_data / "train.limg"), "--epochs", "1", *flags,
                      "--out", str(model)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert loads == []
         assert not model.exists()
 
     def test_momentum_with_adam_exits_2(self, tiny_data, tmp_path, capsys):

@@ -337,12 +337,16 @@ def reference_conv_backward(layer, grad_y, cache):
         "W": (flat_cols.T @ flat_gy).T.reshape(layer.params["W"].shape),
         "b": flat_gy.sum(axis=0),
     }
-    dcols = gy @ layer.params["W"].reshape(layer.channels, -1)
-    dcols = dcols.reshape(b, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
+    # Production's operand roles: per sample, W_mat (C*k*k, channels) times the
+    # (channels, L) output gradient.  The transposed form, (L, channels) @
+    # (channels, C*k*k), sums the channels in another order under some BLAS
+    # kernels (Haswell).
+    w_mat = layer.params["W"].reshape(layer.channels, -1).T
+    dcols = (w_mat @ gy.transpose(0, 2, 1)).reshape(b, c, k, k, ho, wo)
     dx = np.zeros(x_shape, dtype=grad_y.dtype)
     for i in range(k):
         for j in range(k):
-            dx[:, :, i : i + ho, j : j + wo] += dcols[:, :, :, :, i, j]
+            dx[:, :, i : i + ho, j : j + wo] += dcols[:, :, i, j]
     return dx, grads
 
 
