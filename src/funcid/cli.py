@@ -19,18 +19,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, nn, rng
-from .datasets import (
-    DatasetSpec,
-    NoiseKind,
-    NoiseSpec,
-    Regime,
-    build_dataset,
-    load,
-    save,
+from .datasets import NoiseKind, NoiseSpec, Regime, build_dataset, load, save
+from .encoder import DomainMap, ImageType, pillow_image, write_png
+from .experiments import (
+    PRESET_NAMES,
+    SCALES,
+    ExperimentPreset,
+    dataset_spec,
+    run_preset,
+    score,
+    train_config,
 )
-from .encoder import DomainMap, EncoderConfig, ImageType, pillow_image, write_png
-from .experiments import PRESET_NAMES, SCALES, ExperimentPreset, run_preset, score
-from .nn import TrainConfig, init_model, load_model, save_model, train
+from .nn import init_model, load_model, save_model, train
 from .suite import Suite, evaluate, list_functions, make_instance, problem
 
 
@@ -96,6 +96,8 @@ def _cmd_funcs_dump(args) -> int:
         x = np.array([float(v) for v in str(args.at).split(",")])
     except ValueError as exc:
         raise CliError(f"--at {args.at!r} is not a comma-separated point: {exc}") from None
+    if not np.isfinite(x).all():
+        raise CliError(f"--at {args.at!r} has a non-finite coordinate")
     value = evaluate(inst, x)
     print(f"{prob.display_name} (k={prob.index}, d={args.dim}, seed={args.seed})")
     print(f"f({','.join(repr(float(v)) for v in x)}) = {value!r}")
@@ -113,28 +115,13 @@ def _cmd_funcs_list(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    spec = DatasetSpec(
-        suite=Suite(args.suite),
-        dim=args.dim,
-        encoder=EncoderConfig(
-            dim=args.dim,
-            sample_size=args.n,
-            image_type=ImageType(args.type),
-            frame_size=args.frame,
-            domain_map=DomainMap(args.domain),
-        ),
-        regime=Regime(args.regime),
-        per_class_train=args.per_class,
-        per_class_val=args.per_class_val,
-        per_class_test=args.per_class_test,
-        instances_per_function=args.instances,
-        unseen_instances_per_function=args.unseen_instances,
-        master_seed=args.seed,
-        noise=NoiseSpec(
-            kind=NoiseKind(args.noise),
-            uniform_lo=args.uniform_lo,
-            uniform_hi=args.uniform_hi,
-        ),
+    spec = dataset_spec(
+        {**vars(args), "per_class_train": args.per_class},
+        Suite(args.suite),
+        args.seed,
+        ImageType(args.type),
+        Regime(args.regime),
+        NoiseSpec(NoiseKind(args.noise), args.uniform_lo, args.uniform_hi),
     )
     if args.export_png:
         pillow_image()  # fail before anything is built or written
@@ -164,14 +151,7 @@ def _cmd_generate(args) -> int:
 def _cmd_train(args) -> int:
     if not args.data:
         raise CliError("--data is required")
-    cfg = TrainConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=rng.derive_seed(args.seed, rng.BATCH_ORDER),
-        momentum=args.momentum,
-        optimizer=args.optimizer,
-    )
+    cfg = train_config(vars(args), seed=rng.derive_seed(args.seed, rng.BATCH_ORDER))
     train_ds = load(args.data)
     val_ds = load(args.val) if args.val else None
     meta = train_ds.manifest

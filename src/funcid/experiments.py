@@ -131,9 +131,9 @@ class ExperimentPreset:
         name, a domain that is not a ``DomainMap`` value, a sweep list that is
         empty or repeats a value, fewer than one run, a training setting that
         TrainConfig rejects, a uniform noise range that the noise would
-        reject, a sweep point whose dataset spec ``_spec`` rejects, or a
-        desk-scale setting beyond the desk caps raises ExperimentError, so a
-        run fails before it makes its directory or runs its first sweep point.
+        reject, a spec that ``dataset_spec`` rejects for any sweep point and
+        variant, or a desk-scale setting beyond the desk caps raises
+        ExperimentError, so a run fails before it makes its directory.
         """
         row = PRESETS[self.name]
         base = {**_SCALE_DEFAULTS[self.scale], **row.defaults}
@@ -157,14 +157,16 @@ class ExperimentPreset:
         if s.get("runs", 1) < 1:
             raise ExperimentError(f"override runs={s['runs']} must be at least 1")
         try:
+            points = [s]
             for swept in _SWEPT.keys() & s.keys():
                 if not s[swept] or len(set(s[swept])) < len(s[swept]):
                     raise ValueError(
                         f"override {swept}={s[swept]} must list one or more distinct values"
                     )
-                for v in s[swept]:
-                    _spec({**s, _SWEPT[swept]: v}, row.suite, master_seed=0)
-            _train_config(s, seed=0)
+                points = [{**s, _SWEPT[swept]: v} for v in s[swept]]
+            for point, variant in itertools.product(points, row.variants):
+                dataset_spec(point, row.suite, 0, **variant)
+            train_config(s, seed=0)
             if "uniform_lo" in s:
                 check_uniform_range(s["uniform_lo"], s["uniform_hi"])
         except ValueError as exc:
@@ -191,9 +193,11 @@ class _Run:
     out_dir: Path
     master_seed: int
     suite: Suite  # the preset row's suite
+    variants: tuple[dict, ...]  # the preset row's variants
 
 
-def _train_config(s: dict, seed: int) -> TrainConfig:
+def train_config(s: dict, seed: int) -> TrainConfig:
+    """The TrainConfig of the settings ``s`` (lr, epochs, batch_size, momentum, optimizer)."""
     return TrainConfig(learning_rate=s["lr"], epochs=s["epochs"], batch_size=s["batch_size"],
                        seed=seed, momentum=s["momentum"], optimizer=s["optimizer"])
 
@@ -209,7 +213,7 @@ def _train_stage(
         frame_size=spec.encoder.frame_size,
         seed=model_seed,
     )
-    cfg = _train_config(s, seed=rng.derive_seed(spec.master_seed, rng.BATCH_ORDER, 0))
+    cfg = train_config(s, seed=rng.derive_seed(spec.master_seed, rng.BATCH_ORDER, 0))
     val = splits["val"] if len(splits["val"]) else None
     best, report = train(model, splits["train"], val, cfg)
     report.to_csv(run.out_dir / f"train_report_{tag}.csv")
@@ -236,7 +240,7 @@ def _run_cycle(
     return score(best, splits["test"], run.out_dir / f"breakdown_{tag}.csv")
 
 
-def _spec(
+def dataset_spec(
     s: dict,
     suite: Suite,
     master_seed: int,
@@ -247,18 +251,18 @@ def _spec(
     """The dataset spec that the settings ``s`` describe.
 
     ``s`` gives the dimension ``dim``, the sample size ``n`` (24 if unset),
-    ``instances`` and ``unseen_instances`` per function (1 and 0 if unset),
-    the ``domain`` (the unit cube if unset; bitstring sampling ignores it) and
-    the ``per_class_train``/``per_class_val``/``per_class_test`` split sizes.
+    the frame size ``frame`` (32 if unset), ``instances`` and
+    ``unseen_instances`` per function (1 and 0 if unset), the ``domain`` (the
+    unit cube if unset; bitstring sampling ignores it) and the
+    ``per_class_train``/``per_class_val``/``per_class_test`` split sizes.
     """
     dim = s["dim"]
-    domain = DomainMap(s.get("domain", _UNIT_CUBE))
     return DatasetSpec(
         suite=suite,
         dim=dim,
-        encoder=EncoderConfig(
-            dim=dim, sample_size=s.get("n", 24), image_type=image_type, domain_map=domain
-        ),
+        encoder=EncoderConfig(dim=dim, sample_size=s.get("n", 24), image_type=image_type,
+                              frame_size=s.get("frame", 32),
+                              domain_map=DomainMap(s.get("domain", _UNIT_CUBE))),
         regime=regime,
         per_class_train=s["per_class_train"],
         per_class_val=s["per_class_val"],
@@ -278,10 +282,12 @@ def _sweep(s: dict, run: _Run, swept: str, letter: str, seed_tag: int) -> dict:
     """One L1 training cycle per value of the setting ``s[swept]``; writes the
     test accuracy curve.  Each value's dataset and model seeds derive from
     ``seed_tag`` and ``seed_tag + 1``."""
+    (variant,) = run.variants
     rows = []
     for v in s[swept]:
         point = {**s, _SWEPT[swept]: v}
-        spec = _spec(point, run.suite, rng.derive_seed(run.master_seed, seed_tag, v))
+        spec = dataset_spec(point, run.suite, rng.derive_seed(run.master_seed, seed_tag, v),
+                            **variant)
         acc = _run_cycle(
             spec, s, run, f"{letter}{v:02d}", rng.derive_seed(run.master_seed, seed_tag + 1, v),
             save_checkpoint=False,
@@ -292,14 +298,15 @@ def _sweep(s: dict, run: _Run, swept: str, letter: str, seed_tag: int) -> dict:
 
 
 def _type_comparison(s: dict, run: _Run) -> dict:
+    """``runs`` training cycles per image type variant; writes the accuracy boxplot."""
     groups = []
     per_type: dict[int, list[float]] = {}
-    for t in (1, 2, 3, 4, 5):
+    for variant in run.variants:
+        t = int(variant["image_type"])
         accs = []
         for r in range(s["runs"]):
-            spec = _spec(
-                s, run.suite, rng.derive_seed(run.master_seed, 121, t, r), image_type=ImageType(t)
-            )
+            spec = dataset_spec(s, run.suite, rng.derive_seed(run.master_seed, 121, t, r),
+                                **variant)
             accs.append(_run_cycle(
                 spec, s, run, f"type{t}_run{r}", rng.derive_seed(run.master_seed, 122, t, r),
                 save_checkpoint=False,
@@ -310,16 +317,20 @@ def _type_comparison(s: dict, run: _Run) -> dict:
     return {"per_type": per_type}
 
 
-def _one_cycle(s: dict, run: _Run, tag: str, seed_tag: int, **variant) -> dict:
-    """One training cycle on the spec of ``s`` and ``variant``; the dataset and
-    model seeds derive from ``seed_tag`` and ``seed_tag + 1``."""
-    spec = _spec(s, run.suite, rng.derive_seed(run.master_seed, seed_tag), **variant)
-    model_seed = rng.derive_seed(run.master_seed, seed_tag + 1)
-    return {"test_accuracy": _run_cycle(spec, s, run, tag, model_seed)}
+def _cycles(s: dict, run: _Run, seed_tag: int, keys: dict[str, str]) -> dict:
+    """One training cycle per variant, from the dataset and model seeds of
+    ``seed_tag`` and ``seed_tag + 1``.  ``keys`` maps each variant's artifact
+    tag to the result key of its test accuracy, in variant order."""
+    seed, model_seed = (rng.derive_seed(run.master_seed, t) for t in (seed_tag, seed_tag + 1))
+    return {
+        key: _run_cycle(dataset_spec(s, run.suite, seed, **variant), s, run, tag, model_seed)
+        for (tag, key), variant in zip(keys.items(), run.variants, strict=True)
+    }
 
 
 def _unseen_l3(s: dict, run: _Run) -> dict:
-    spec = _spec(s, run.suite, rng.derive_seed(run.master_seed, 141), regime=Regime.L3)
+    (variant,) = run.variants
+    spec = dataset_spec(s, run.suite, rng.derive_seed(run.master_seed, 141), **variant)
     best, splits = _train_stage(spec, s, run, "l3", rng.derive_seed(run.master_seed, 142))
     out = {"clean_accuracy": score(best, splits["test"], run.out_dir / "breakdown_l3_clean.csv")}
     if "uniform_lo" in s:  # UnseenL3Noisy: also score the test split under uniform noise
@@ -331,21 +342,14 @@ def _unseen_l3(s: dict, run: _Run) -> dict:
     return out
 
 
-def _gaussian_noise_l1(s: dict, run: _Run) -> dict:
-    seed, model_seed = rng.derive_seed(run.master_seed, 151), rng.derive_seed(run.master_seed, 152)
-    clean_spec = _spec(s, run.suite, seed)
-    noisy_spec = _spec(s, run.suite, seed, noise=NoiseSpec(kind=NoiseKind.GAUSSIAN_HALF_MAX))
-    return {
-        "clean_accuracy": _run_cycle(clean_spec, s, run, "clean", model_seed),
-        "noisy_accuracy": _run_cycle(noisy_spec, s, run, "noisy", model_seed),
-    }
-
-
 class _Preset(NamedTuple):
     runner: Callable[[dict, _Run], dict]
     defaults: dict  # the preset's own settings, at both scales
     desk: dict  # data/epoch settings that replace the scale defaults at desk scale
     suite: Suite = Suite.CONTINUOUS_BBOB  # whose functions are the classes
+    # The ``dataset_spec`` keywords (image_type, regime, noise) of each spec
+    # the runner trains on, in the runner's order; ``settings()`` builds each.
+    variants: tuple[dict, ...] = ({},)
 
 
 _UNIT_CUBE = DomainMap.UNIT_CUBE.value
@@ -355,6 +359,7 @@ _DOMAINS = tuple(m.value for m in DomainMap)
 _L3 = {"dim": 22, "instances": 5, "unseen_instances": 5,
        "domain": DomainMap.AFFINE_TO_BBOB_BOX.value}
 _L3_DESK = {"per_class_train": 400, "per_class_test": 100}
+_L3_VARIANTS = ({"regime": Regime.L3},)
 
 # The one place a preset is declared.  A runner calls the pipeline functions
 # through this module's globals, so a wrapper set on the module sees the call.
@@ -373,19 +378,28 @@ PRESETS = {
     "TypeComparison": _Preset(
         _type_comparison, {"runs": 5, "dim": 22, "domain": _UNIT_CUBE},
         {"epochs": 100, "per_class_train": 50, "per_class_test": 15},
+        variants=tuple({"image_type": t} for t in ImageType),
     ),
     "MultiInstanceL2": _Preset(
-        functools.partial(_one_cycle, tag="l2", seed_tag=131, regime=Regime.L2),
+        functools.partial(_cycles, seed_tag=131, keys={"l2": "test_accuracy"}),
         {"dim": 22, "instances": 5, "domain": _UNIT_CUBE},
         {"per_class_train": 500, "per_class_test": 100},
+        variants=({"regime": Regime.L2},),
     ),
-    "UnseenL3": _Preset(_unseen_l3, _L3, _L3_DESK),
+    "UnseenL3": _Preset(_unseen_l3, _L3, _L3_DESK, variants=_L3_VARIANTS),
     "UnseenL3Noisy": _Preset(
-        _unseen_l3, {**_L3, "uniform_lo": -2.5, "uniform_hi": 2.5}, _L3_DESK
+        _unseen_l3, {**_L3, "uniform_lo": -2.5, "uniform_hi": 2.5}, _L3_DESK,
+        variants=_L3_VARIANTS,
     ),
-    "GaussianNoiseL1": _Preset(_gaussian_noise_l1, {"dim": 22, "domain": _UNIT_CUBE}, {}),
+    "GaussianNoiseL1": _Preset(
+        functools.partial(
+            _cycles, seed_tag=151, keys={"clean": "clean_accuracy", "noisy": "noisy_accuracy"}
+        ),
+        {"dim": 22, "domain": _UNIT_CUBE}, {},
+        variants=({}, {"noise": NoiseSpec(kind=NoiseKind.GAUSSIAN_HALF_MAX)}),
+    ),
     "DiscreteL1": _Preset(
-        functools.partial(_one_cycle, tag="discrete", seed_tag=161),
+        functools.partial(_cycles, seed_tag=161, keys={"discrete": "test_accuracy"}),
         {"dim": 16, "n": 24}, {}, Suite.DISCRETE_PB,
     ),
 }
@@ -425,7 +439,7 @@ def run_preset(
     row = PRESETS[preset.name]
     run_dir = _new_run_dir(Path(output_root) if output_root else default_output_root(), preset.name)
     try:
-        results = row.runner(settings, _Run(run_dir, master_seed, row.suite))
+        results = row.runner(settings, _Run(run_dir, master_seed, row.suite, row.variants))
     except BaseException:
         if not any(run_dir.iterdir()):
             run_dir.rmdir()

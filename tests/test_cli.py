@@ -17,11 +17,13 @@ import pytest
 import funcid
 import funcid.cli
 import funcid.experiments
+from funcid import rng
 from funcid.cli import main
-from funcid.datasets import load
+from funcid.datasets import DatasetSpec, NoiseKind, NoiseSpec, Regime, load
+from funcid.encoder import DomainMap, EncoderConfig, ImageType
 from funcid.experiments import ExperimentError, ExperimentPreset
 from funcid.metrics import accuracy, confusion, emit_breakdown
-from funcid.nn import init_model, load_model, predict, save_model
+from funcid.nn import TrainConfig, init_model, load_model, predict, save_model
 from funcid.suite import Suite, evaluate, list_functions, make_instance, problem
 
 
@@ -67,6 +69,13 @@ class TestFuncsDump:
         (line,) = capsys.readouterr().err.splitlines()
         assert line == (f"error: --at {at!r} is not a comma-separated point:"
                         f" could not convert string to float: {bad!r}")
+
+    @pytest.mark.parametrize("at", ["nan,1", "1,inf"])
+    def test_non_finite_point_names_the_flag(self, at, capsys):
+        assert main(["funcs", "dump", "--k", "1", "--dim", "2", "--at", at]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --at {at!r} has a non-finite coordinate\n"
+        assert captured.out == ""
 
     def test_discrete_function_takes_a_length_its_suite_does_not(self, capsys):
         # d=22 is no square lattice for IsingTriangular, but OneMax takes it.
@@ -179,12 +188,25 @@ class TestExperiment:
         ("BaseL1DimSweep", "dims=[1]", "continuous suite needs d >= 2, got 1"),
         ("MultiInstanceL2", "instances=0", "need at least one instance per function"),
         ("NSweep", "n_values=[40]", "N=40 sample rows do not fit in M=32 for Types 1-4"),
-    ], ids=["model", "domain", "dims", "instances", "n_values"])
-    def test_failing_override_leaves_no_run_dir(self, preset, item, message, tmp_path, capsys):
+        ("UnseenL3", "unseen_instances=0", "L3 needs unseen instances for the test split"),
+        ("UnseenL3", "dim=1", "continuous suite needs d >= 2, got 1"),
+        ("GaussianNoiseL1", "dim=1", "continuous suite needs d >= 2, got 1"),
+        ("TypeComparison", "dim=40", "d'=41 exceeds frame width M=32 for TYPE1"),
+        ("DiscreteL1", "dim=70", "d'=71 exceeds frame width M=32 for TYPE1"),
+    ], ids=["model", "domain", "dims", "instances", "n_values", "unseen_instances", "l3-dim",
+            "noise-dim", "types-dim", "discrete-dim"])
+    def test_failing_override_leaves_no_run_dir(self, preset, item, message, tmp_path, capsys,
+                                                monkeypatch):
+        # Every spec the preset's runner would build is checked before the
+        # run directory is made.
+        calls, new_run_dir = [], funcid.experiments._new_run_dir
+        monkeypatch.setattr(funcid.experiments, "_new_run_dir",
+                            lambda *a: calls.append(a) or new_run_dir(*a))
+        monkeypatch.setattr(funcid.experiments, "build_dataset", calls.append)
         code = main(["experiment", preset, "--out", str(tmp_path), "--set", item])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert list(tmp_path.iterdir()) == []
+        assert calls == [] and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("preset, item, message", [
         ("BaseL1DimSweep", "dims=[2,4,40]", "d'=41 exceeds frame width M=32 for TYPE1"),
@@ -472,6 +494,59 @@ class TestGenerateTrainEval:
         (line,) = capsys.readouterr().err.splitlines()
         assert line == "error: IsingTriangular needs a square lattice; d=22 is not a perfect square"
         assert built == [] and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("config, argv, expected", [
+        (None,
+         ["--dim", "2", "--per-class", "1", "--per-class-test", "1", "--frame", "16", "--n", "8",
+          "--type", "3", "--regime", "L3", "--instances", "2", "--unseen-instances", "1",
+          "--domain", "bbob_box", "--noise", "uniform_range", "--uniform-lo", "-1",
+          "--uniform-hi", "1", "--per-class-val", "1", "--seed", "7"],
+         DatasetSpec(
+             suite=Suite.CONTINUOUS_BBOB, dim=2,
+             encoder=EncoderConfig(dim=2, sample_size=8, image_type=ImageType.TYPE3,
+                                   frame_size=16, domain_map=DomainMap.AFFINE_TO_BBOB_BOX),
+             regime=Regime.L3, per_class_train=1, per_class_val=1, per_class_test=1,
+             instances_per_function=2, unseen_instances_per_function=1, master_seed=7,
+             noise=NoiseSpec(kind=NoiseKind.UNIFORM_RANGE, uniform_lo=-1.0, uniform_hi=1.0),
+         )),
+        ({"suite": "discrete", "dim": 9, "type": 4, "n": 16, "per_class": 2,
+          "per_class_test": 1, "regime": "L2", "instances": 2, "noise": "gaussian_half_max"},
+         ["--per-class", "1", "--seed", "5"],
+         DatasetSpec(
+             suite=Suite.DISCRETE_PB, dim=9,
+             encoder=EncoderConfig(dim=9, sample_size=16, image_type=ImageType.TYPE4,
+                                   frame_size=32, domain_map=DomainMap.UNIT_CUBE),
+             regime=Regime.L2, per_class_train=1, per_class_val=0, per_class_test=1,
+             instances_per_function=2, unseen_instances_per_function=0, master_seed=5,
+             noise=NoiseSpec(kind=NoiseKind.GAUSSIAN_HALF_MAX, uniform_lo=-2.5,
+                             uniform_hi=2.5),
+         )),
+    ], ids=["flags", "config"])
+    def test_generate_spec_reads_every_flag(self, config, argv, expected, tmp_path, capsys):
+        if config is not None:
+            argv = ["--config", _write_config(tmp_path / "gen.json", config), *argv]
+        out = _generate(tmp_path / "data", argv)
+        splits = sorted(p.name for p in out.glob("*.limg"))
+        assert splits == (["test.limg", "train.limg", "val.limg"] if config is None
+                          else ["test.limg", "train.limg"])
+        for name in splits:
+            assert load(out / name).manifest.spec == expected
+
+    def test_train_config_reads_every_flag(self, tiny_data, tmp_path, capsys, monkeypatch):
+        configs = []
+        real_train = funcid.cli.train
+
+        def train(model, train_ds, val_ds, cfg):
+            configs.append(cfg)
+            return real_train(model, train_ds, val_ds, cfg)
+
+        monkeypatch.setattr(funcid.cli, "train", train)
+        assert main(["train", "--data", str(tiny_data / "train.limg"), "--lr", "0.05",
+                     "--epochs", "2", "--batch-size", "5", "--optimizer", "sgd",
+                     "--momentum", "0.9", "--seed", "4", "--out", str(tmp_path / "m.lmdl")]) == 0
+        assert configs == [TrainConfig(learning_rate=0.05, epochs=2, batch_size=5,
+                                       seed=rng.derive_seed(4, rng.BATCH_ORDER), momentum=0.9,
+                                       optimizer="sgd")]
 
     def test_report_holds_one_row_per_epoch(self, tiny_data, tmp_path, capsys):
         report = tmp_path / "report.csv"
