@@ -21,7 +21,11 @@ that order is pinned; only the data movement around it may change:
 
 * ``cols`` is a C-contiguous (B, L, C*k*k) gather of the channel-last input,
   L = ho*wo in row-major (oy, ox) order and K in (c, i, j) order, matching
-  ``W``'s (channels, C, k, k) layout.  A pure gather is exact in any form;
+  ``W``'s (channels, C, k, k) layout.  A pure gather is exact in any form.
+  Each ``Conv2D`` gathers into the leading B rows of one buffer that lives
+  as long as the layer and grows only for a larger batch, so a ``Conv2D``
+  cache, which views those rows, is valid until that layer's next forward;
+  ``backward`` raises ``LayerError`` for an older cache;
 * the forward output is ``cols @ W_mat`` with ``W_mat`` the transposed
   (channels, C*k*k) view of ``W``; the bias is added after the product,
   one add per element.  The (B, L, channels) product is the channel-last
@@ -154,6 +158,9 @@ class Conv2D(Layer):
         super().__init__()
         self.channels = channels
         self.kernel = kernel
+        # The im2col buffer, and the count of forwards that stamps each cache.
+        self._cols = np.empty((0, 0, 0))
+        self._forwards = 0
 
     def init(self, in_shape, generator, dtype):
         if len(in_shape) != 3:
@@ -181,18 +188,30 @@ class Conv2D(Layer):
         # conv1's one-channel input and a pool output are channel-last
         # already, so this is a view; other layouts are copied once.
         samples = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(b, h * w * c)
+        # Reused, so a training step or a 64-image inference chunk allocates
+        # no multi-MB gather.
+        buf = self._cols
+        if buf.shape[0] < b or buf.shape[1:] != index.shape or buf.dtype != samples.dtype:
+            self._cols = np.empty((b, *index.shape), dtype=samples.dtype)
+        self._forwards += 1
         # Every index is in range (checked once, when built), so "wrap"
         # never wraps; it is the fastest of np.take's modes for this gather.
-        cols = np.take(samples, index, axis=1, mode="wrap")
+        cols = np.take(samples, index, axis=1, mode="wrap", out=self._cols[:b])
         y = cols @ self.params["W"].reshape(self.channels, -1).T
         # One bias row over the contiguous (L, channels) block of a sample,
         # rather than a broadcast with a channels-long inner loop.
         rows = y.reshape(b, ho * wo * self.channels)
         rows += np.tile(self.params["b"], ho * wo)
-        return y.reshape(b, ho, wo, self.channels).transpose(0, 3, 1, 2), (x.shape, cols)
+        y = y.reshape(b, ho, wo, self.channels).transpose(0, 3, 1, 2)
+        return y, (x.shape, cols, self._forwards)
 
     def backward(self, grad_y, cache, need_dx=True):
-        x_shape, cols = cache
+        x_shape, cols, forward = cache
+        if forward != self._forwards:
+            raise LayerError(
+                f"stale Conv2D cache: forward {forward} of {self._forwards};"
+                " a later forward overwrote its im2col buffer"
+            )
         b, c, h, w = x_shape
         k = self.kernel
         ho, wo = h - k + 1, w - k + 1

@@ -96,6 +96,9 @@ class Network:
             x, cache = layer.forward(x)
             if want_caches:
                 caches.append(cache)
+            # Unless kept, a cache is freed as its layer returns, not after
+            # the next layer's forward.
+            del cache
         return (x, caches) if want_caches else x
 
     def forward(self, batch: np.ndarray) -> np.ndarray:
@@ -107,17 +110,20 @@ class Network:
         the layers' grads, kept as the descent passes them, gathered in
         ``parameters()`` order.
 
-        The descent stops at the lowest layer with parameters, which skips its
-        input gradient: no layer below it has anything to learn.
+        The descent consumes ``caches``: it pops each layer's cache and hands
+        the layer the only reference, so every cache is freed as soon as its
+        layer's backward returns.  It stops at the lowest layer with
+        parameters, which skips its input gradient: no layer below it has
+        anything to learn.
         """
         grads: list[dict] = [{} for _ in self.layers]
         grad = grad_logits
         lowest = next(i for i, layer in enumerate(self.layers) if layer.params)
         for i in range(len(self.layers) - 1, lowest - 1, -1):
             if i == lowest:
-                _, grads[i] = self.layers[i].backward(grad, caches[i], need_dx=False)
+                _, grads[i] = self.layers[i].backward(grad, caches.pop(), need_dx=False)
             else:
-                grad, grads[i] = self.layers[i].backward(grad, caches[i])
+                grad, grads[i] = self.layers[i].backward(grad, caches.pop())
         flat = [grads[i][name].reshape(-1) for i, name, _ in self.parameters()]
         return np.concatenate(flat, dtype=self.vector.dtype)
 
@@ -242,7 +248,11 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
 
 
 # Images per forward pass in predict_logits and in training's validation.
-_CHUNK = 256
+# 64 is the default training batch, so inference gathers into the Conv2D
+# im2col buffers a training step already holds (a 256-image chunk made
+# LeNet-5's conv1 gather 18.8 MB at M = 32) and keeps no more activations
+# alive than a step.
+_CHUNK = 64
 
 
 def chunked_logits(model: Network, x: np.ndarray, forward) -> np.ndarray:

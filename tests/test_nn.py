@@ -24,7 +24,17 @@ from funcid.nn import (
     train,
     training,
 )
-from funcid.nn.layers import AvgPool2D, Conv2D, Dense, ReLU, Tanh, _column_sum, _im2col_index
+from funcid.nn import network
+from funcid.nn.layers import (
+    AvgPool2D,
+    Conv2D,
+    Dense,
+    LayerError,
+    ReLU,
+    Tanh,
+    _column_sum,
+    _im2col_index,
+)
 from funcid.nn.network import cross_entropy, min_max
 from funcid.nn.training import _loss_and_accuracy, _make_stepper
 
@@ -326,7 +336,7 @@ def legacy_avgpool_backward(layer, grad_y, cache):
 
 
 def reference_conv_backward(layer, grad_y, cache):
-    x_shape, cols = cache
+    x_shape, cols = cache[:2]
     b, c, h, w = x_shape
     k = layer.kernel
     ho, wo = h - k + 1, w - k + 1
@@ -617,8 +627,14 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+# conv1's and conv2's float32 im2col gathers of a 64-image LeNet-5 batch at
+# M = 32: 64 x (784 x 25 + 100 x 150) x 4 bytes, about 8.9 MB.
+IM2COL_64 = 64 * (28 * 28 * 25 + 10 * 10 * 150) * 4
+
+
 class TestWorkingSet:
-    """The optimizer keeps only its state whole; ``min_max`` only its output."""
+    """The optimizer keeps only its state whole; ``min_max`` only its output;
+    LeNet-5 gathers im2col into one buffer per ``Conv2D``."""
 
     @pytest.mark.parametrize(
         "optimizer,momentum,bound",
@@ -636,6 +652,28 @@ class TestWorkingSet:
     def test_min_max_allocates_one_output(self):
         pixels = np.random.default_rng(0).standard_normal((960, 32, 32)).astype(np.float32)
         assert traced_peak(lambda: min_max(pixels)) < 1.5 * pixels.nbytes
+
+    def test_lenet5_step_reuses_im2col_buffers(self):
+        # After the first batch-64 step, a step's forward and backward gather
+        # into the buffers that step allocated, so its peak stays under their
+        # bytes.
+        model = init_model("lenet5", 24, 32, seed=3)
+        gen = np.random.default_rng(0)
+        x = gen.random((64, 32, 32)).astype(np.float32)
+        y = gen.integers(0, 24, 64)
+        loss_and_grads(model, x, y)
+        convs = [layer for layer in model.layers if isinstance(layer, Conv2D)]
+        buffers = [conv._cols for conv in convs]
+        assert sum(buf.nbytes for buf in buffers) == IM2COL_64
+        assert traced_peak(lambda: loss_and_grads(model, x, y)) < IM2COL_64
+        assert all(conv._cols is buf for conv, buf in zip(convs, buffers))
+
+    def test_lenet5_predict_from_fresh_model(self):
+        # 240 images in 64-image chunks: the buffers' first allocation and one
+        # chunk's activations, not conv1's 18.8 MB gather of all 240.
+        model = init_model("lenet5", 24, 32, seed=3)
+        x = np.random.default_rng(0).random((240, 32, 32)).astype(np.float32)
+        assert traced_peak(lambda: predict(model, x)) < IM2COL_64 + 4_000_000
 
 
 def channel_last(a):
@@ -743,6 +781,39 @@ class TestConvDataMovement:
         assert index.min() == 0 and index.max() == 6 * 14 * 14 - 1
 
 
+class TestIm2colBuffer:
+    def test_backward_rejects_overwritten_cache(self):
+        # Forward A, then forward B: B's gather overwrote the buffer that A's
+        # cache views, so A's gradients would be B's.
+        conv = Conv2D(4, 3)
+        conv.init((2, 9, 9), np.random.default_rng(0), np.float32)
+        x_a, x_b = np.random.default_rng(1).random((2, 5, 2, 9, 9)).astype(np.float32)
+        y_a, cache_a = conv.forward(x_a)
+        _, cache_b = conv.forward(x_b)
+        grad = np.ones_like(y_a)
+        for need_dx in (True, False):
+            with pytest.raises(LayerError, match="stale Conv2D cache"):
+                conv.backward(grad, cache_a, need_dx=need_dx)
+        fresh = Conv2D(4, 3)
+        fresh.init((2, 9, 9), np.random.default_rng(0), np.float32)
+        dx, grads = conv.backward(grad, cache_b)
+        ref_dx, ref_grads = fresh.backward(grad, fresh.forward(x_b)[1])
+        assert_same_bytes(dx, ref_dx)
+        for name in ("W", "b"):
+            assert_same_bytes(grads[name], ref_grads[name])
+
+    def test_mixed_batch_sizes_match_fresh_model(self):
+        # The buffer grows to 240 images at the first unchunked forward; later
+        # batches gather into its leading rows.
+        x = np.random.default_rng(2).random((240, 32, 32)).astype(np.float32)
+        model = init_model("lenet5", 24, 32, seed=3)
+        for b in (64, 1, 48, 240, 1, 64, 48, 240):
+            fresh = init_model("lenet5", 24, 32, seed=3)
+            assert_same_bytes(predict_logits(model, x[:b]), predict_logits(fresh, x[:b]))
+            fresh = init_model("lenet5", 24, 32, seed=3)
+            assert_same_bytes(model.forward(x[:b]), fresh.forward(x[:b]))
+
+
 def is_channel_last(a):
     """Whether a (B, C, H, W) array is laid out (B, H, W, C) in memory."""
     return a.transpose(0, 2, 3, 1).flags.c_contiguous
@@ -841,7 +912,7 @@ class TestTrain:
         assert report.best_epoch == int(np.argmin(report.val_loss)) + 1
 
     def test_validation_matches_predict_across_chunks(self):
-        # 300 validation images span two inference chunks of 256; the epoch's
+        # 300 validation images span five inference chunks of 64; the epoch's
         # validation figures are those of the trained model's predict logits.
         gen = np.random.default_rng(5)
         x = gen.random((12, 8, 8)).astype(np.float32)
@@ -918,6 +989,20 @@ class TestPredict:
         logits = predict_logits(model, x)
         shifted = logits + np.random.default_rng(1).random((7, 1)) * 100.0
         assert np.array_equal(logits.argmax(axis=1), shifted.argmax(axis=1))
+
+    @pytest.mark.parametrize("preset", network.PRESETS)
+    def test_float64_logits_do_not_depend_on_chunk(self, preset, monkeypatch):
+        # 300 images run as 256 + 44 or as 4 x 64 + 44 rows.  In float64 an
+        # image's logits are the same in a 256-row and a 64-row product under
+        # the SkylakeX, Haswell and Sandybridge kernels; in float32 under
+        # Haswell they are not.  Smaller last chunks also change the bytes.
+        model = init_model(preset, 24, 32, seed=3, dtype="float64")
+        x = np.random.default_rng(4).random((300, 32, 32)).astype(np.float32)
+        logits = {}
+        for chunk in (256, 64):
+            monkeypatch.setattr(network, "_CHUNK", chunk)
+            logits[chunk] = predict_logits(model, x)
+        assert_same_bytes(logits[256], logits[64])
 
     def test_evaluate_loss_matches_manual(self):
         model = init_model("perceptron1", 3, 8, seed=4)
